@@ -8,7 +8,9 @@ files, and ``experiment`` runs a full matrix from a JSON config file.
 Score files are plain text: one score per line in id order (node id or
 edge id), ``#`` lines ignored. The optional ``got --trace`` output is
 newline-delimited JSON with one record per epoch:
-``{"epoch": E, "vdiamonds_held": H, "thieves_carrying": C}``.
+``{"epoch": E, "vdiamonds_held": H, "thieves_carrying": C,
+"pickups_refused": R}``, R counting the pickup attempts of that epoch that
+found the node empty.
 """
 from __future__ import annotations
 
@@ -110,9 +112,7 @@ def _cmd_got(args) -> int:
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for rec in res.trace:
-                fh.write(json.dumps({"epoch": rec.epoch,
-                                     "vdiamonds_held": rec.vdiamonds_held,
-                                     "thieves_carrying": rec.thieves_carrying}))
+                fh.write(json.dumps(rec._asdict()))
                 fh.write("\n")
     return 0
 

@@ -16,6 +16,16 @@ semantics directly; ``run_got`` uses an array kernel that is equivalent
 to it, draw for draw (the test suite asserts this), but runs orders of
 magnitude faster.
 
+The kernel moves every thief at once, then resolves the epoch's pickups
+node by node, since a node's outcome depends only on its own start stock
+and the id order of the deposits and attempts it sees. When every node's
+stock covers its attempts, all succeed. Otherwise one vectorized pass
+sorts the events by (node, thief id) and treats each node's stock as a
+walk clamped at zero (-1 per attempt, +1 per deposit), whose closed form
+is the prefix sum minus the negative part of its running minimum; an
+attempt succeeds iff the stock just before it is positive. A trace record
+also counts the refused attempts, those that found the node empty.
+
 Score accumulation: with ``mean_convention="per-epoch"`` the sums over
 epochs 0..T (T+1 addends, where epoch 0 is the initial state) are divided
 by the epoch count T; ``"arithmetic"`` divides by T+1 instead. The epoch count defaults to
@@ -111,6 +121,7 @@ class TraceRecord(NamedTuple):
     epoch: int
     vdiamonds_held: int
     thieves_carrying: int
+    pickups_refused: int    # attempts this epoch that found the node empty
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,7 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
 
     phi_sum = np.full(n, vd, dtype=np.int64)  # epoch-0 snapshot
     psi_sum = np.zeros(m, dtype=np.int64)
-    trace = [TraceRecord(0, n * vd, 0)] if collect_trace else None
+    trace = [TraceRecord(0, n * vd, 0, 0)] if collect_trace else None
 
     tids = np.arange(nt, dtype=np.int64)
     indptr, adj, adj_eids, deg = g.indptr, g.adj, g.adj_eids, g.degrees
@@ -256,8 +267,10 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
 
         phi_sum += counts
         if collect_trace:
+            refused = 0 if att_ids is None else int(
+                att_ids.size - np.count_nonzero(carrying[att_ids]))
             trace.append(TraceRecord(epoch, int(counts.sum()),
-                                     int(carrying.sum())))
+                                     int(carrying.sum()), refused))
 
     denom = float(epochs if cfg.mean_convention == "per-epoch" else epochs + 1)
     return GotResult(phi=phi_sum / denom, psi=psi_sum / denom, trace=trace)
@@ -267,11 +280,15 @@ def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n
     """Apply one epoch's deposits and pickup attempts in thief-id order.
 
     An attempt succeeds when the node still holds a vdiamond at the moment
-    the attempting thief acts. Per-node this only depends on the start-of-
+    the attempting thief acts. Per node this depends only on the start-of-
     epoch stock and the id-interleaving of that node's deposits and
     attempts, so nodes resolve independently. The common case (stock covers
-    all attempts everywhere) needs no sorting at all; genuinely contended
-    nodes fall back to an exact id-ordered replay.
+    all attempts everywhere) needs no sorting at all. Otherwise every event
+    is resolved in one exact pass: sorted by (node, thief id), a node's
+    stock is a walk clamped at zero, Y_j = max(0, Y_{j-1} + step_j), with
+    step -1 for an attempt and +1 for a deposit. Its closed form is the
+    unclamped walk S_j minus min(0, min_{i<=j} S_i), and an attempt
+    succeeds iff the stock just before it, Y_{j-1}, is positive.
     """
     if att_ids is None:
         if dep_nodes is not None:
@@ -285,48 +302,32 @@ def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n
         carrying[att_ids] = True
         return
 
-    # scarce stock somewhere: group attempts by node, keep id order inside
-    order = np.argsort(att_nodes, kind="stable")
-    sn = att_nodes[order]
-    st = att_ids[order]
-    first = np.empty(sn.size, dtype=bool)
+    # scarce stock somewhere: one clamped walk per node over its events
+    nodes, tids = att_nodes, att_ids
+    step = np.full(att_ids.size, -1, dtype=np.int64)
+    if dep_nodes is not None:
+        nodes = np.concatenate((nodes, dep_nodes))
+        tids = np.concatenate((tids, dep_ids))
+        step = np.concatenate((step, np.ones(dep_ids.size, dtype=np.int64)))
+    # a thief makes at most one event per epoch, so the keys are distinct
+    order = np.argsort(nodes * carrying.size + tids)
+    nodes, tids, step = nodes[order], tids[order], step[order]
+    first = np.empty(nodes.size, dtype=bool)
     first[0] = True
-    first[1:] = sn[1:] != sn[:-1]
+    first[1:] = nodes[1:] != nodes[:-1]
     starts = np.flatnonzero(first)
-    runs = np.diff(np.append(starts, sn.size))
-    rank_in_node = np.arange(sn.size, dtype=np.int64) - np.repeat(starts, runs)
-    succ = rank_in_node < counts[sn]
-
-    if dep_nodes is not None:
-        # a node whose stock runs short AND that also receives deposits this
-        # epoch needs the exact interleaving; replay those few by id
-        short_nodes = np.unique(sn[~succ])
-        dep_cnt = np.bincount(dep_nodes, minlength=n)
-        replay = short_nodes[dep_cnt[short_nodes] > 0]
-        if replay.size:
-            dorder = np.argsort(dep_nodes, kind="stable")
-            dn = dep_nodes[dorder]
-            dt = dep_ids[dorder]
-            for u in replay.tolist():
-                alo, ahi = np.searchsorted(sn, [u, u + 1])
-                dlo, dhi = np.searchsorted(dn, [u, u + 1])
-                a_ids = st[alo:ahi].tolist()
-                d_ids = dt[dlo:dhi].tolist()
-                stock = int(counts[u])
-                di = 0
-                for idx, tid in enumerate(a_ids):
-                    while di < len(d_ids) and d_ids[di] < tid:
-                        stock += 1
-                        di += 1
-                    if stock > 0:
-                        stock -= 1
-                        succ[alo + idx] = True
-                    else:
-                        succ[alo + idx] = False
-
-    taken = sn[succ]
-    if taken.size:
-        counts -= np.bincount(taken, minlength=n)
-    if dep_nodes is not None:
-        counts += np.bincount(dep_nodes, minlength=n)
-    carrying[st[succ]] = True
+    group = np.cumsum(first) - 1
+    walk = np.cumsum(step)
+    walk -= (walk[starts] - step[starts])[group]  # per-node prefix sums
+    # segmented running minimum: shift each node's walk below every earlier
+    # node's; |walk| <= events, so the offsets stay below n * (2 * nt + 1)
+    span = walk.max() - walk.min() + 1
+    low = np.minimum.accumulate(walk - group * span) + group * span
+    start_stock = counts[nodes]
+    stock = start_stock + walk - np.minimum(0, start_stock + low)
+    before = np.empty_like(stock)
+    before[1:] = stock[:-1]
+    before[starts] = start_stock[starts]
+    carrying[tids[(step < 0) & (before > 0)]] = True
+    last = np.append(starts[1:] - 1, nodes.size - 1)
+    counts[nodes[last]] = stock[last]

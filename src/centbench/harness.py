@@ -186,21 +186,16 @@ def run_cell(family: str, n: int, param: float, seed: int,
             for b in NODE_MEASURES[i + 1:]:
                 pairs.append((f"{a}_vs_{b}", node_scores[a], node_scores[b]))
 
-    records = []
-    total_ms = (time.perf_counter() - cell_t0) * 1000.0
-    for pair_name, a, b in pairs:
-        t0 = time.perf_counter()
-        res = correlate(a, b)
-        total_ms += (time.perf_counter() - t0) * 1000.0
-        for coeff, value in (("pearson", res.r), ("spearman", res.rho),
-                             ("kendall", res.tau)):
-            records.append(ExperimentRecord(
-                family=family, n=n, param=param, seed=seed,
-                lcc_n=lcc.n, lcc_m=lcc.m, pair=pair_name, coefficient=coeff,
-                value=value, wall_ms=total_ms, stage_wall_ms=dict(stage_ms)))
+    results = _timed("corr", lambda: [correlate(a, b) for _, a, b in pairs])
     # every record of the cell reports the same whole-cell wall time
-    records = [replace(r, wall_ms=total_ms) for r in records]
-    return records
+    total_ms = (time.perf_counter() - cell_t0) * 1000.0
+    return [ExperimentRecord(family=family, n=n, param=param, seed=seed,
+                             lcc_n=lcc.n, lcc_m=lcc.m, pair=pair_name,
+                             coefficient=coeff, value=value, wall_ms=total_ms,
+                             stage_wall_ms=dict(stage_ms))
+            for (pair_name, _, _), res in zip(pairs, results)
+            for coeff, value in (("pearson", res.r), ("spearman", res.rho),
+                                 ("kendall", res.tau))]
 
 
 def _run_cell_task(args) -> list[ExperimentRecord]:

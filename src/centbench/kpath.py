@@ -29,10 +29,14 @@ unbiased:
 * the final level is never sampled: the walk stops one step early and every
   admissible completion is added analytically with its exact share.
 
-Together these make the per-source estimates exact for k <= 2 and leave
-only interior-level sampling noise for larger k. Edge totals are combined
-with exactly rounded summation so that structurally symmetric edges come
-out exactly tied instead of differing in the last float bit.
+Together these make the per-source estimates exact for k = 1, and for
+k = 2 at every source that gets at least as many walks as it has incident
+edges (one walk per first-step stratum). Each source gets about rho / n
+walks, so under the default rho = max(m, n) that is about half the mean
+degree and most sources fall short. Larger k also carries interior-level
+sampling noise. Edge totals are combined with exactly rounded summation so
+that structurally symmetric edges come out exactly tied instead of
+differing in the last float bit.
 """
 from __future__ import annotations
 
@@ -49,13 +53,19 @@ from .rng import make_rng
 @dataclass(frozen=True)
 class KpathConfig:
     k: int = 10
-    rho: int | None = None  # walk count; None resolves to the edge count
+    rho: int | None = None  # walk count; None resolves to max(m, n)
     seed: int = 0
 
-    def resolve(self, m: int) -> tuple[int, int]:
-        rho = self.rho if self.rho is not None else m
-        if self.k < 1 or rho < 1:
-            raise ValueError(f"need k >= 1 and rho >= 1, got k={self.k}, rho={rho}")
+    def resolve(self, m: int, n: int = 1) -> tuple[int, int]:
+        """Concrete (k, rho) for a graph with m edges and n nodes.
+
+        The walks are split evenly over the n sources, so rho must give
+        every source at least one walk: rho < n raises ValueError.
+        """
+        rho = self.rho if self.rho is not None else max(m, n)
+        if self.k < 1 or rho < max(n, 1):
+            raise ValueError(f"need k >= 1 and rho >= n (one walk per source), "
+                             f"got k={self.k}, rho={rho}, n={n}")
         return self.k, rho
 
 
@@ -67,7 +77,7 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    k, rho = cfg.resolve(g.m)
+    k, rho = cfg.resolve(g.m, g.n)
     rng = make_rng(cfg.seed)
     n, m = g.n, g.m
     incident = [list(zip(g.neighbors(u).tolist(),

@@ -77,9 +77,15 @@ class TestGotAndKpath:
         assert phi.shape == (6,) and psi.shape == (6,)
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert len(lines) == 21
-        assert set(lines[0]) == {"epoch", "vdiamonds_held", "thieves_carrying"}
+        assert set(lines[0]) == {"epoch", "vdiamonds_held", "thieves_carrying",
+                                 "pickups_refused"}
         for rec in lines:
             assert rec["vdiamonds_held"] + rec["thieves_carrying"] == 18
+        from centbench import run_got
+        want = run_got(read_edge_list(graph_file),
+                       GotConfig(vdiamonds_per_node=3, epochs=20, seed=5),
+                       collect_trace=True).trace
+        assert lines == [rec._asdict() for rec in want]
 
     def test_got_matches_library(self, graph_file, tmp_path):
         from centbench import run_got

@@ -3,9 +3,10 @@ import pytest
 
 from centbench import (GotConfig, build_graph, default_epochs, epoch_step,
                        initial_state, run_got)
+from centbench.got import _resolve_pickups
 from centbench.rng import make_rng
 
-from conftest import cycle_graph, random_connected_graph, star_graph
+from conftest import cycle_graph, random_connected_graph, random_graph, star_graph
 
 
 def run_via_epoch_steps(g, cfg):
@@ -21,6 +22,47 @@ def run_via_epoch_steps(g, cfg):
         psi_sum += state.edge_loaded_crossings
     denom = epochs if cfg.mean_convention == "per-epoch" else epochs + 1
     return phi_sum / denom, psi_sum / denom, state
+
+
+def reference_epoch_events(g, cfg):
+    """Per epoch of the sequential reference: (refused pickups per node,
+    deposits per node). A thief that starts the epoch empty-handed and ends
+    it away from home, still empty-handed, was refused; one that starts it
+    carrying and ends it empty-handed deposited at home."""
+    _, _, epochs = cfg.resolve(g.n)
+    state = initial_state(g, cfg)
+    rng = make_rng(cfg.seed)
+    events = []
+    for _ in range(epochs):
+        was_carrying = [t.carrying for t in state.thieves]
+        epoch_step(g, state, rng)
+        refused = np.zeros(g.n, dtype=np.int64)
+        deposits = np.zeros(g.n, dtype=np.int64)
+        for t, before in zip(state.thieves, was_carrying):
+            if before and not t.carrying:
+                deposits[t.home] += 1
+            elif not before and not t.carrying and t.position != t.home:
+                refused[t.position] += 1
+        events.append((refused, deposits))
+    return events
+
+
+def hub_graph(n, p, rng):
+    """A random graph plus one hub node joined to every other node."""
+    edges = random_graph(n, p, rng).edge_list()
+    return build_graph(edges + [(i, n) for i in range(n)], n + 1)
+
+
+def naive_resolve(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes):
+    """One epoch's deposits and attempts, one event at a time in id order."""
+    events = sorted([(t, u, -1) for t, u in zip(att_ids, att_nodes)]
+                    + [(t, u, 1) for t, u in zip(dep_ids, dep_nodes)])
+    for tid, u, step in events:
+        if step > 0:
+            counts[u] += 1
+        elif counts[u] > 0:
+            counts[u] -= 1
+            carrying[tid] = True
 
 
 class TestTwoNodeHandSimulation:
@@ -149,6 +191,57 @@ class TestRunGot:
             assert np.array_equal(res.phi, phi_ref)
             assert np.array_equal(res.psi, psi_ref)
 
+    def test_matches_sequential_reference_on_scarce_hubs(self, np_rng):
+        # one vdiamond per node and several thieves per node: stock runs out
+        # every epoch, and in most epochs some node that refuses a pickup
+        # also takes deposits, so only the id interleaving decides who wins
+        graphs = [star_graph(15), hub_graph(8, 0.3, np_rng),
+                  hub_graph(12, 0.3, np_rng), hub_graph(16, 0.25, np_rng)]
+        mixed_epochs = total_epochs = 0
+        for i, g in enumerate(graphs):
+            for tpn in (2, 3):
+                cfg = GotConfig(thieves_per_node=tpn, vdiamonds_per_node=1,
+                                epochs=48, seed=100 * i + tpn)
+                res = run_got(g, cfg)
+                phi_ref, psi_ref, _ = run_via_epoch_steps(g, cfg)
+                assert np.array_equal(res.phi, phi_ref)
+                assert np.array_equal(res.psi, psi_ref)
+                mixed = sum(bool(((refused > 0) & (deposits > 0)).any())
+                            for refused, deposits in
+                            reference_epoch_events(g, cfg))
+                assert mixed >= cfg.epochs // 3
+                mixed_epochs += mixed
+                total_epochs += cfg.epochs
+        assert mixed_epochs > total_epochs // 2
+
+    def test_refused_pickups_match_reference(self, np_rng):
+        cases = [(star_graph(10), GotConfig(thieves_per_node=2,
+                                            vdiamonds_per_node=1, epochs=40,
+                                            seed=4)),
+                 (hub_graph(15, 0.2, np_rng),
+                  GotConfig(thieves_per_node=3, vdiamonds_per_node=2,
+                            epochs=40, seed=5)),
+                 (random_connected_graph(20, 0.2, np_rng),
+                  GotConfig(vdiamonds_per_node=1, epochs=40, seed=6))]
+        for g, cfg in cases:
+            trace = run_got(g, cfg, collect_trace=True).trace
+            want = [int(refused.sum())
+                    for refused, _ in reference_epoch_events(g, cfg)]
+            assert trace[0].pickups_refused == 0
+            assert [t.pickups_refused for t in trace[1:]] == want
+            assert sum(want) > 0
+
+    def test_no_refused_pickups_with_default_stock(self, np_rng):
+        # on these low-degree graphs n vdiamonds per node outlast the run;
+        # a hub's stock need not (a star's centre loses one per leaf every
+        # other epoch), and then refusals are real
+        for g in (cycle_graph(10), cycle_graph(40),
+                  random_connected_graph(60, 0.08, np_rng)):
+            for seed in range(3):
+                trace = run_got(g, GotConfig(seed=seed),
+                                collect_trace=True).trace
+                assert all(t.pickups_refused == 0 for t in trace)
+
     def test_conservation_every_epoch(self, np_rng):
         for trial in range(8):
             g = random_connected_graph(int(np_rng.integers(2, 25)), 0.3, np_rng)
@@ -204,6 +297,32 @@ class TestRunGot:
                     # retracing: every consecutive stack pair is an edge
                     for a, b in zip(t.path_stack, t.path_stack[1:]):
                         assert g.has_edge(a, b)
+
+
+class TestResolvePickups:
+    def test_matches_naive_id_ordered_loop(self, np_rng):
+        # few nodes and many thieves, so nodes see several deposits
+        # interleaved with several attempts; start stock includes zeros
+        for trial in range(300):
+            n = int(np_rng.integers(1, 6))
+            nt = int(np_rng.integers(2, 40))
+            counts = np_rng.integers(0, 4, size=n).astype(np.int64)
+            role = np_rng.integers(0, 3, size=nt)   # 0 idle, 1 attempt, 2 deposit
+            att_ids = np.flatnonzero(role == 1).astype(np.int64)
+            dep_ids = np.flatnonzero(role == 2).astype(np.int64)
+            att_nodes = np_rng.integers(0, n, size=att_ids.size).astype(np.int64)
+            dep_nodes = np_rng.integers(0, n, size=dep_ids.size).astype(np.int64)
+            carrying = np.zeros(nt, dtype=bool)
+            want_counts, want_carrying = counts.copy(), carrying.copy()
+            naive_resolve(want_counts, want_carrying, att_ids, att_nodes,
+                          dep_ids, dep_nodes)
+            _resolve_pickups(counts, carrying,
+                             att_ids if att_ids.size else None,
+                             att_nodes if att_ids.size else None,
+                             dep_ids if dep_ids.size else None,
+                             dep_nodes if dep_ids.size else None, n)
+            assert counts.tolist() == want_counts.tolist(), trial
+            assert carrying.tolist() == want_carrying.tolist(), trial
 
 
 class TestConfig:

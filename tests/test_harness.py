@@ -104,7 +104,7 @@ class TestRunExperiment:
         assert doc["config"]["n"] == 80
         stage_keys = set(doc["records"][0]["stage_wall_ms"])
         assert {"gen", "lcc", "dc", "bc", "cl", "cc", "got",
-                "kpath"} <= stage_keys
+                "kpath", "corr"} <= stage_keys
 
         for coeff in ("pearson", "spearman", "kendall"):
             with open(tmp_path / f"plot_{coeff}.csv", newline="") as fh:

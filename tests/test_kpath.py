@@ -51,6 +51,23 @@ class TestWerwKpath:
         with pytest.raises(ValueError):
             werw_kpath(path_graph(3), KpathConfig(rho=0))
 
+    def test_rho_below_node_count_rejected(self):
+        # an even split of rho < n walks would leave some sources without any
+        with pytest.raises(ValueError, match="rho >= n"):
+            werw_kpath(path_graph(8), KpathConfig(k=2, rho=7))
+        with pytest.raises(ValueError, match="rho >= n"):
+            KpathConfig(rho=3).resolve(10, 4)
+        assert KpathConfig().resolve(7, 8) == (10, 8)
+        assert KpathConfig().resolve(25, 8) == (10, 25)
+
+    def test_default_rho_covers_every_source(self):
+        # m = n - 1 on a path: rho = m would give the last source no walk
+        g = path_graph(8)
+        reversed_ids = build_graph([(7 - u, 7 - v) for u, v in g.edge_list()], 8)
+        for h in (g, reversed_ids):
+            assert werw_kpath(h, KpathConfig(k=1)).tolist() == \
+                oracle_kpath(h, 1).tolist()
+
     def test_deterministic(self, np_rng):
         g = random_connected_graph(20, 0.25, np_rng)
         a = werw_kpath(g, KpathConfig(k=5, rho=500, seed=42))
