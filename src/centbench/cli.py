@@ -4,6 +4,8 @@ Subcommands mirror the library surface: ``gen`` emits an edge list,
 ``centrality`` scores one graph with one exact measure, ``got`` and
 ``kpath`` run the stochastic estimators, ``correlate`` compares two score
 files, and ``experiment`` runs a full matrix from a JSON config file.
+Invalid input, including a failed cell, exits with code 2 and one
+``centbench: error: ...`` line on stderr.
 
 Score files are plain text: one score per line in id order (node id or
 edge id), ``#`` lines ignored. The optional ``got --trace`` output is
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,7 +28,7 @@ from .exact import (betweenness_centrality, closeness_centrality,
 from .generators import GeneratorSpec
 from .got import GotConfig, run_got
 from .graph import largest_connected_component, read_edge_list, write_edge_list
-from .harness import ExperimentConfig, run_experiment
+from .harness import CellError, ExperimentConfig, run_experiment
 from .kpath import KpathConfig, werw_kpath
 from .stats import correlate
 
@@ -151,8 +154,11 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     cfg = ExperimentConfig.from_file(args.config)
-    records, errors = run_experiment(cfg, args.out_dir, workers=args.workers)
+    workers = min(args.workers, os.cpu_count() or 1)
+    records, errors = run_experiment(cfg, args.out_dir, workers=workers)
     sys.stdout.write(f"{len(records)} records, {len(errors)} failed cells "
                      f"-> {args.out_dir}\n")
     for err in errors:
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lcc", action="store_true")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--rho", type=int, default=None,
-                   help="walk count (default: edge count)")
+                   help="walk count (default: max(edge count, node count))")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -224,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a full experiment matrix")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out-dir", default="results")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, capped at the CPU count")
     p.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -232,7 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, CellError) as exc:  # GraphError is a ValueError
+        sys.stderr.write(f"centbench: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Nodes are ``0..n-1``. Every undirected edge ``{u, v}`` gets a dense edge id
 in ``0..m-1``, assigned in the order the edges were supplied, so seeded
 experiments produce identical edge ids run after run. Adjacency is stored in
 CSR form (``indptr`` / ``adj``) with each neighbor row sorted ascending, and
-``adj_eids`` carries the edge id of each adjacency slot.
+``adj_eids`` carries the edge id of each adjacency slot. ``bfs_levels`` is
+the one level-synchronous BFS, shared by the component search here and by
+betweenness and closeness.
 
 Graphs are frozen after construction; every algorithm in the package treats
 them as read-only, which makes them safe to share across threads.
@@ -66,37 +68,45 @@ def build_graph(edges, n: int) -> Graph:
     """Build an immutable simple graph from an edge list.
 
     Args:
-        edges: iterable of unordered node-id pairs; ids must lie in 0..n-1.
+        edges: unordered node-id pairs, as an iterable of pairs or a
+            ``(m, 2)`` array; ids must lie in 0..n-1.
         n: node count.
 
     Raises:
         GraphError: on a self-loop, an out-of-range id, or a duplicate edge
-            (the same unordered pair supplied twice).
+            (the same unordered pair supplied twice), naming the first
+            offending edge in input order.
     """
     if n < 0:
         raise GraphError(f"node count must be non-negative, got {n}")
-    eu: list[int] = []
-    ev: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    for a, b in edges:
-        a = int(a)
-        b = int(b)
-        if a == b:
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        raw = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+    except OverflowError:  # ids beyond int64, all outside the node range
+        raw = np.asarray(edges, dtype=object).reshape(len(edges), 2)
+    loop = raw[:, 0] == raw[:, 1]
+    outside = ((raw < 0) | (raw >= n)).any(axis=1)
+    e = np.where(outside[:, None], 0, raw).astype(np.int64, copy=False)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    # flag every later occurrence of a key (the stable sort keeps input
+    # order); a spurious flag can only follow an edge that is bad itself
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    bad = loop | outside
+    bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = int(raw[i, 0]), int(raw[i, 1])
+        if loop[i]:
             raise GraphError(f"self-loop at node {a}")
-        if not (0 <= a < n) or not (0 <= b < n):
+        if outside[i]:
             raise GraphError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            raise GraphError(f"duplicate edge {key}")
-        seen.add(key)
-        eu.append(key[0])
-        ev.append(key[1])
+        raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
 
-    m = len(eu)
-    edge_u = np.asarray(eu, dtype=np.int64)
-    edge_v = np.asarray(ev, dtype=np.int64)
-    src = np.concatenate([edge_u, edge_v])
-    dst = np.concatenate([edge_v, edge_u])
+    m = lo.size
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
     eids = np.tile(np.arange(m, dtype=np.int64), 2)
     order = np.lexsort((dst, src))
     adj = dst[order]
@@ -105,60 +115,48 @@ def build_graph(edges, n: int) -> Graph:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     return Graph(n=n, m=m, indptr=indptr, adj=adj, adj_eids=adj_eids,
-                 edge_u=edge_u, edge_v=edge_v, degrees=degrees)
+                 edge_u=lo, edge_v=hi, degrees=degrees)
 
 
-def frontier_neighbors(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All adjacency entries of the frontier nodes, flattened.
+def bfs_levels(g: Graph, source: int, dist: np.ndarray):
+    """Level-synchronous BFS from ``source``: the package's one frontier loop.
 
-    Returns ``(nbrs, srcs)`` where ``nbrs[i]`` is a neighbor of ``srcs[i]``;
-    each frontier node contributes its whole (sorted) neighbor row. This is
-    the inner step shared by all BFS-style passes.
+    ``dist`` must hold -1 at every unreached node and is filled in place.
+    Yields ``(lev, nbrs, srcs, fresh)`` per frontier (the nodes at distance
+    ``lev``): ``nbrs[i]`` is a neighbor of frontier node ``srcs[i]``, one
+    entry per adjacency slot, and ``fresh`` the sorted nodes first reached
+    from it, already at distance ``lev + 1``. The last ``fresh`` is empty.
     """
-    starts = g.indptr[frontier]
-    cnts = g.degrees[frontier]
-    total = int(cnts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    csum = np.cumsum(cnts)
-    slots = np.repeat(starts - (csum - cnts), cnts) + np.arange(total, dtype=np.int64)
-    return g.adj[slots], np.repeat(frontier, cnts)
-
-
-def _component_of(g: Graph, start: int, visited: np.ndarray) -> np.ndarray:
-    """Nodes of the connected component containing ``start`` (sorted)."""
-    visited[start] = True
-    parts = [np.asarray([start], dtype=np.int64)]
-    frontier = parts[0]
-    while frontier.size:
-        nbrs, _ = frontier_neighbors(g, frontier)
-        if nbrs.size == 0:
-            break
-        fresh = np.unique(nbrs[~visited[nbrs]])
-        visited[fresh] = True
+    dist[source] = 0
+    frontier = np.asarray([source], dtype=np.int64)
+    lev = 0
+    while True:
+        cnts = g.degrees[frontier]
+        ends = np.cumsum(cnts)
+        slots = np.repeat(g.indptr[frontier] - (ends - cnts), cnts) + np.arange(ends[-1])
+        nbrs, srcs = g.adj[slots], np.repeat(frontier, cnts)
+        fresh = np.unique(nbrs[dist[nbrs] == -1])
+        dist[fresh] = lev + 1
+        yield lev, nbrs, srcs, fresh
         if fresh.size == 0:
-            break
-        parts.append(fresh)
+            return
         frontier = fresh
-    return np.sort(np.concatenate(parts))
+        lev += 1
 
 
 def connected_components(g: Graph) -> list[np.ndarray]:
-    """All connected components, in order of their smallest node id."""
-    visited = np.zeros(g.n, dtype=bool)
+    """All connected components (sorted node ids), by smallest node id."""
+    dist = np.full(g.n, -1, dtype=np.int64)
     comps = []
     for s in range(g.n):
-        if not visited[s]:
-            comps.append(_component_of(g, s, visited))
+        if dist[s] == -1:
+            levels = [fresh for *_, fresh in bfs_levels(g, s, dist)]
+            comps.append(np.sort(np.concatenate([[s], *levels])))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    visited = np.zeros(g.n, dtype=bool)
-    return _component_of(g, 0, visited).size == g.n
+    return len(connected_components(g)) <= 1
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
@@ -182,9 +180,8 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     relabel = np.full(g.n, -1, dtype=np.int64)
     relabel[best] = np.arange(best.size, dtype=np.int64)
     keep = relabel[g.edge_u] >= 0
-    new_edges = zip(relabel[g.edge_u[keep]].tolist(),
-                    relabel[g.edge_v[keep]].tolist())
-    sub = build_graph(new_edges, int(best.size))
+    sub = build_graph(relabel[np.stack([g.edge_u[keep], g.edge_v[keep]], axis=1)],
+                      int(best.size))
     mapping = {int(old): int(new) for new, old in enumerate(best.tolist())}
     return sub, mapping
 

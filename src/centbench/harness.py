@@ -24,7 +24,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .exact import (betweenness_centrality, closeness_centrality,
@@ -102,11 +102,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "got" in d and isinstance(d["got"], dict):
-            d["got"] = GotConfig(**d["got"])
-        if "kpath" in d and isinstance(d["kpath"], dict):
-            d["kpath"] = KpathConfig(**d["kpath"])
+        """Build from the JSON form; ValueError names any unknown key."""
+        d = _known_keys(cls, d, "")
+        for key, sub in (("got", GotConfig), ("kpath", KpathConfig)):
+            if isinstance(d.get(key), dict):
+                d[key] = sub(**_known_keys(sub, d[key], f"{key}."))
         return cls(**d)
 
     @classmethod
@@ -118,6 +118,14 @@ class ExperimentConfig:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
+
+
+def _known_keys(cls, d: dict, prefix: str) -> dict:
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError("unknown config key(s): "
+                         + ", ".join(prefix + k for k in unknown))
+    return dict(d)
 
 
 def _generator_spec(family: str, n: int, param: float, seed: int,

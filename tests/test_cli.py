@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from centbench import GotConfig, KpathConfig, read_edge_list
+from centbench import CellError, GotConfig, KpathConfig, read_edge_list
 from centbench.cli import main, read_scores
 
 
@@ -149,3 +150,68 @@ class TestExperiment:
         assert (out_dir / "report.csv").exists()
         assert (out_dir / "report.json").exists()
         assert "30 records" in capsys.readouterr().out
+
+
+class TestErrors:
+    """Bad input ends with exit code 2 and one line on stderr."""
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("0 1\n2 2\n", ("--measure", "dc"), "self-loop at node 2"),
+        ("0 1\n1 0\n", ("--measure", "bc"), "duplicate edge (0, 1)"),
+        ("0 1\n1 2\n3 4\n", ("--measure", "cl"),
+         "node 3 is unreachable from node 0"),
+        ("0 1\n", ("--measure", "dc", "--n", "1"),
+         "edge (0, 1) outside node range 0..0"),
+    ])
+    def test_graph_and_value_errors(self, tmp_path, capsys, text, argv, message):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        assert run_cli("centrality", "--graph", str(path), *argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"centbench: error: {message}\n"
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 60, "er_p": [0.1], "sedes": 2}))
+        assert run_cli("experiment", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == \
+            "centbench: error: unknown config key(s): sedes\n"
+
+    def test_cell_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise CellError("family=ER n=60 param=0.1 seed=1: boom")
+        monkeypatch.setattr("centbench.cli.run_experiment", fail)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 60, "er_p": [0.1]}))
+        assert run_cli("experiment", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == "centbench: error: family=ER n=60 param=0.1 seed=1: boom\n"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, value):
+        assert run_cli("experiment", "--config", str(tmp_path / "cfg.json"),
+                       "--workers", value) == 2
+        assert capsys.readouterr().err == \
+            f"centbench: error: --workers must be at least 1, got {value}\n"
+
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run(cfg, out_dir, workers):
+            seen["workers"] = workers
+            return [], []
+        monkeypatch.setattr("centbench.cli.run_experiment", fake_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 60, "er_p": [0.1]}))
+        run_cli("experiment", "--config", str(cfg_path), "--workers", "100000",
+                "--out-dir", str(tmp_path / "out"))
+        assert seen["workers"] == min(100000, os.cpu_count() or 1)
+
+
+def test_kpath_help_states_default_rho(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("kpath", "--help")
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "walk count (default: max(edge count, node count))" in help_text

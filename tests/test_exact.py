@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from centbench import (DisconnectedGraphError, betweenness_centrality,
-                       build_graph, closeness_centrality,
-                       clustering_coefficient, degree_centrality,
-                       oracle_betweenness, triangle_counts)
+from centbench import (DisconnectedGraphError, GeneratorSpec,
+                       betweenness_centrality, build_graph,
+                       closeness_centrality, clustering_coefficient,
+                       degree_centrality, gen_holme_kim,
+                       largest_connected_component, oracle_betweenness,
+                       triangle_counts)
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
                       star_graph)
@@ -99,13 +101,69 @@ class TestClustering:
         assert cc[2] == pytest.approx(2 / 3)
         assert cc[3] == pytest.approx(2 / 3)
 
-    def test_dense_and_sparse_paths_agree(self, np_rng):
-        for _ in range(10):
-            g = random_graph(int(np_rng.integers(4, 45)),
-                             float(np_rng.uniform(0.1, 0.5)), np_rng)
-            dense = triangle_counts(g)
-            sparse = triangle_counts(g, dense_threshold=0)
-            assert np.array_equal(dense, sparse)
+    def test_triangle_counts_match_dense_reference(self, np_rng):
+        """The forward count equals closed 3-walks / 2 from a dense matrix.
+
+        Random graphs on few nodes have many equal degrees, so the (degree,
+        id) rank order and the orientation of tied edges are exercised.
+        """
+        def reference(g):
+            a = np.zeros((g.n, g.n))
+            a[g.edge_u, g.edge_v] = a[g.edge_v, g.edge_u] = 1.0
+            return np.rint(((a @ a) * a).sum(axis=1) / 2.0).astype(np.int64)
+
+        graphs = [star_graph(6), complete_graph(7), build_graph([], 5)]
+        for _ in range(30):
+            graphs.append(random_graph(int(np_rng.integers(4, 45)),
+                                       float(np_rng.uniform(0.1, 0.5)), np_rng))
+        for g in graphs:
+            assert triangle_counts(g).tolist() == reference(g).tolist(), g
+        assert triangle_counts(complete_graph(7)).tolist() == [15] * 7
+
+
+class TestNetworkxCrossCheck:
+    """Exact measures against networkx beyond the oracle's n <= 200.
+
+    Conventions: networkx's unnormalized betweenness equals ours, and our
+    closeness ``n / sum_j d_ij`` is networkx's ``(n-1) / sum_j d_ij`` times
+    ``n / (n-1)``.
+    """
+
+    @pytest.fixture(scope="class")
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def to_nx(nx, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edge_list())
+        return h
+
+    @staticmethod
+    def as_array(scores, n):
+        return np.asarray([scores[i] for i in range(n)])
+
+    @pytest.mark.parametrize("spec", [("SF", 1000, 3, 0.3, 11),
+                                      ("ER", 500, 0.012, 0.0, 12)])
+    def test_betweenness_and_closeness(self, nx, spec):
+        g, _ = largest_connected_component(GeneratorSpec(*spec).generate())
+        assert g.n >= 450
+        h = self.to_nx(nx, g)
+        want_bc = self.as_array(nx.betweenness_centrality(h, normalized=False), g.n)
+        assert np.allclose(betweenness_centrality(g), want_bc,
+                           rtol=1e-9, atol=1e-9)
+        want_cl = self.as_array(nx.closeness_centrality(h), g.n) * g.n / (g.n - 1)
+        assert np.allclose(closeness_centrality(g), want_cl, rtol=1e-12, atol=0)
+
+    def test_clustering_on_criterion6_graph(self, nx):
+        g = gen_holme_kim(10000, 5, 0.3, seed=606)
+        h = self.to_nx(nx, g)
+        assert np.array_equal(triangle_counts(g),
+                              self.as_array(nx.triangles(h), g.n))
+        assert np.allclose(clustering_coefficient(g),
+                           self.as_array(nx.clustering(h), g.n),
+                           rtol=1e-12, atol=0)
 
 
 class TestStructuralProperties:

@@ -33,6 +33,32 @@ def test_node_out_of_range_rejected():
         build_graph([(0, 3)], 3)
 
 
+@pytest.mark.parametrize("edges, n, message", [
+    ([(0, 1), (1, 0), (2, 2)], 3, r"^duplicate edge \(0, 1\)$"),
+    ([(2, 2), (0, 1), (1, 0)], 3, r"^self-loop at node 2$"),
+    ([(0, 5), (0, 1), (1, 0)], 3, r"^edge \(0, 5\) outside node range 0\.\.2$"),
+    ([(0, 1), (4, 4)], 3, r"^self-loop at node 4$"),
+    ([(0, 1), (-1, 2), (1, 0)], 3, r"^edge \(-1, 2\) outside node range 0\.\.2$"),
+    ([(0, 5), (5, 0)], 3, r"^edge \(0, 5\) outside node range 0\.\.2$"),
+    ([(2, 0), (1, 2), (0, 2), (2, 1)], 3, r"^duplicate edge \(0, 2\)$"),
+    ([(1, 2**70), (0, 0)], 3,
+     rf"^edge \(1, {2**70}\) outside node range 0\.\.2$"),
+])
+def test_first_offending_edge_names_the_error(edges, n, message):
+    with pytest.raises(GraphError, match=message):
+        build_graph(edges, n)
+    if max(map(max, edges)) < 2**63:
+        with pytest.raises(GraphError, match=message):
+            build_graph(np.asarray(edges), n)
+
+
+def test_edges_must_be_pairs():
+    with pytest.raises(ValueError):
+        build_graph([(0, 1, 2), (1, 2, 0)], 3)
+    with pytest.raises(ValueError):
+        build_graph(np.arange(4), 4)
+
+
 def test_edge_ids_follow_input_order():
     g = build_graph([(2, 1), (0, 2), (0, 1)], 3)
     assert g.edge_endpoints(0) == (1, 2)
@@ -124,6 +150,20 @@ def test_roundtrip_and_handshake(case):
     assert np.array_equal(h.indptr, g.indptr)
     assert np.array_equal(h.adj, g.adj)
     assert np.array_equal(h.adj_eids, g.adj_eids)
+
+
+@given(edge_sets, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_array_input_builds_the_same_graph(case, rnd):
+    n, edges = case
+    edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in sorted(edges)]
+    rnd.shuffle(edges)
+    g = build_graph(edges, n)
+    h = build_graph(np.asarray(edges, dtype=np.int64).reshape(-1, 2), n)
+    for f in ("indptr", "adj", "adj_eids", "edge_u", "edge_v", "degrees"):
+        assert np.array_equal(getattr(g, f), getattr(h, f))
+        assert getattr(h, f).dtype == np.int64
+    assert (g.n, g.m) == (h.n, h.m)
 
 
 @given(edge_sets)

@@ -75,6 +75,18 @@ class TestExperimentConfig:
         assert cfg.cells() == cells
 
 
+    @pytest.mark.parametrize("d, message", [
+        ({"n": 50, "sf_m": [2], "seed": 1}, r"unknown config key\(s\): seed$"),
+        ({"n": 50, "zeta": 1, "alpha": 2}, r"unknown config key\(s\): alpha, zeta$"),
+        ({"n": 50, "got": {"epochs": 5, "thieves": 2}},
+         r"unknown config key\(s\): got\.thieves$"),
+        ({"n": 50, "kpath": {"K": 3}}, r"unknown config key\(s\): kpath\.K$"),
+    ])
+    def test_from_dict_names_bad_keys(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(d)
+
+
 class TestRunExperiment:
     def test_empty_config_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to run"):
