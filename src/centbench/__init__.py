@@ -19,7 +19,7 @@ from .graph import (Graph, GraphError, build_graph, connected_components,
                     parse_edge_list, read_edge_list, write_edge_list)
 from .harness import (CellError, ExperimentConfig, ExperimentRecord,
                       run_cell, run_experiment)
-from .kpath import KpathConfig, oracle_kpath, werw_kpath
+from .kpath import KpathConfig, werw_kpath
 from .rng import derive_seed, make_rng, splitmix64
 from .stats import (ConstantInputError, CorrelationResult,
                     concordant_discordant, correlate, kendall, pearson,

@@ -4,8 +4,8 @@ Subcommands mirror the library surface: ``gen`` emits an edge list,
 ``centrality`` scores one graph with one exact measure, ``got`` and
 ``kpath`` run the stochastic estimators, ``correlate`` compares two score
 files, and ``experiment`` runs a full matrix from a JSON config file.
-Invalid input, including a failed cell, exits with code 2 and one
-``centbench: error: ...`` line on stderr.
+Invalid input, including a missing input file and a failed cell, exits
+with code 2 and one ``centbench: error: ...`` line on stderr.
 
 Score files are plain text: one score per line in id order (node id or
 edge id), ``#`` lines ignored. The optional ``got --trace`` output is
@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lcc", action="store_true")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--rho", type=int, default=None,
-                   help="walk count (default: max(edge count, node count))")
+                   help="walk count, at least 2 x edge count (default: "
+                        "8 x edge count, four walks per adjacency slot)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -241,7 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CellError) as exc:  # GraphError is a ValueError
+    # GraphError is a ValueError; OSError covers a missing or unreadable file
+    except (OSError, ValueError, CellError) as exc:
         sys.stderr.write(f"centbench: error: {exc}\n")
         return 2
 

@@ -24,7 +24,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .exact import (betweenness_centrality, closeness_centrality,
@@ -102,7 +102,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Build from the JSON form; ValueError names any unknown key."""
+        """Build from the JSON form; ValueError names any unknown or
+        missing key."""
         d = _known_keys(cls, d, "")
         for key, sub in (("got", GotConfig), ("kpath", KpathConfig)):
             if isinstance(d.get(key), dict):
@@ -125,6 +126,11 @@ def _known_keys(cls, d: dict, prefix: str) -> dict:
     if unknown:
         raise ValueError("unknown config key(s): "
                          + ", ".join(prefix + k for k in unknown))
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError("missing config key(s): "
+                         + ", ".join(prefix + k for k in missing))
     return dict(d)
 
 

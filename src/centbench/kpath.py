@@ -3,69 +3,94 @@
 The exact k-path score of an edge sums, over all source nodes, the fraction
 of that source's edge-self-avoiding walks (trails) of length at most k that
 traverse the edge. Enumerating trails is exponential, so ``werw_kpath``
-estimates the score by sampling: each source is allotted an equal share of
-``rho`` walks, and each walk extends a trail along not-yet-traversed
-incident edges.
+estimates the score by sampling walks that extend a trail along
+not-yet-traversed incident edges.
 
 A uniform-step walk does not sample trails uniformly (it under-visits
 high-branching regions), so every prefix of the walk carries the classic
 sequential importance weight, the running product of admissible-edge
 counts. With that weighting, a prefix of length j is an unbiased unit
 sample of the length-j trail count, so per source the weighted hit mass on
-an edge over the total weighted mass estimates exactly the fraction of the
-source's trails using that edge. Summing the per-source ratios over sources
-reproduces the exact score in the many-walk limit, which the enumeration
-oracle below verifies on small graphs.
+an edge over the total weighted mass estimates the fraction of the source's
+trails using that edge. Summing the per-source ratios over sources gives
+the exact score in the many-walk limit.
 
-Three deterministic variance reductions sharpen the ranking at a fixed
-budget, all of them plain stratification arguments that leave the estimate
-unbiased:
+Allotment. The rho walks are allotted to the 2m adjacency slots (one slot
+per source and incident edge): floor(rho / 2m) walks each, plus one more
+for the first rho mod 2m slots in CSR order. A walk's first step is its
+slot, so the first level is stratified by construction: a source's total
+mass is the sum over its slots of the slot's mean walk mass, and each walk
+carries the coefficient 1 / (walks on its slot * source total). rho < 2m
+would leave slots without a walk and is rejected. The final level is never
+sampled: a walk stops one step short of k, and every admissible completion
+is added analytically. Together these make the estimate exact for k = 1
+and k = 2 at every accepted rho.
 
-* walks are split evenly across sources (the target is a sum over sources,
-  so between-source sampling noise is pure waste);
-* each source's first steps rotate through its incident edges from a random
-  phase, and strata are combined by their means, so the first level is
-  covered evenly no matter how the walk budget divides;
-* the final level is never sampled: the walk stops one step early and every
-  admissible completion is added analytically with its exact share.
+Steps. At the current node, the admissible count adm is the degree minus
+the trail edges at that node. The step takes the r-th admissible slot in
+neighbour order, r = floor(u * adm), clamped to adm - 1 against rounding,
+from a uniform double u. Since u takes 2^53 equally spaced values, each r
+is hit with probability within 2^-53 of 1/adm. The r-th admissible slot is
+found from the node's first slot by skipping the trail edges' slots there,
+in ascending order. Each block of W walks draws its uniforms as one
+``rng.random((W, k - 2))`` in walk order, and a walk that dies (adm = 0)
+still consumes its row, so any chunking of the walks draws the same
+numbers as one draw for all of them.
 
-Together these make the per-source estimates exact for k = 1, and for
-k = 2 at every source that gets at least as many walks as it has incident
-edges (one walk per first-step stratum). Each source gets about rho / n
-walks, so under the default rho = max(m, n) that is about half the mean
-degree and most sources fall short. Larger k also carries interior-level
-sampling noise. Edge totals are combined with exactly rounded summation so
-that structurally symmetric edges come out exactly tied instead of
-differing in the last float bit.
+Budget. Each source's ratio of two sampled masses is a ratio estimator,
+biased by O(1/walks) (Cochran, *Sampling Techniques*, ch. 6). Rather than
+correct it, the default rho = 8m, four walks per slot, pushes it below the
+run-to-run noise: on three random n = 8 graphs at k = 3 and 5, the mean
+over 1000 seeds stays within 5% of the enumeration oracle on every edge
+(2.5% worst measured, against 12-39% for an equal split of rho = max(m, n)
+walks over the sources).
+
+Blocking. Walks run in blocks of whole sources of at most ``BLOCK_WALKS``
+walks, all steps of a block at once, so memory stays bounded whatever the
+graph size. A source with more walks than that runs in chunks, twice from
+the same generator state: once for its total mass, once for its
+contributions.
+
+Sums. Each walk's masses over its source's total go to three sums: trail
+masses per edge, completion masses per end node, and the trail edges at
+the end node, taken back out when a node's completions are spread over its
+edges. Every share is split into an integer multiple of 1 / scale and a
+remainder rounded to a multiple of 1 / (scale * fine), about 2^-70 at
+n = 1000, and both parts are summed as exact integers. The sums therefore
+do not depend on the walk order, and the result is rounded once, so
+structurally symmetric edges come out exactly tied wherever the walks are
+forced (k <= 2, paths, cycles).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .graph import Graph
 from .rng import make_rng
 
+BLOCK_WALKS = 2048  # walks stepped at once; bounds the block arrays
+_NO_SLOT = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class KpathConfig:
     k: int = 10
-    rho: int | None = None  # walk count; None resolves to max(m, n)
+    rho: int | None = None  # walk count; None resolves to 8m
     seed: int = 0
 
-    def resolve(self, m: int, n: int = 1) -> tuple[int, int]:
-        """Concrete (k, rho) for a graph with m edges and n nodes.
+    def resolve(self, m: int) -> tuple[int, int]:
+        """Concrete (k, rho) for a graph with m edges.
 
-        The walks are split evenly over the n sources, so rho must give
-        every source at least one walk: rho < n raises ValueError.
+        The walks are allotted to the 2m adjacency slots, so rho must give
+        every slot at least one walk: rho < 2m raises ValueError.
         """
-        rho = self.rho if self.rho is not None else max(m, n)
-        if self.k < 1 or rho < max(n, 1):
-            raise ValueError(f"need k >= 1 and rho >= n (one walk per source), "
-                             f"got k={self.k}, rho={rho}, n={n}")
+        rho = self.rho if self.rho is not None else 8 * m
+        if self.k < 1 or rho < 2 * m:
+            raise ValueError(f"need k >= 1 and rho >= 2m (one walk per "
+                             f"adjacency slot), got k={self.k}, rho={rho}, "
+                             f"m={m}")
         return self.k, rho
 
 
@@ -77,123 +102,145 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    k, rho = cfg.resolve(g.m, g.n)
+    k, rho = cfg.resolve(g.m)
     rng = make_rng(cfg.seed)
-    n, m = g.n, g.m
-    incident = [list(zip(g.neighbors(u).tolist(),
-                         g.adj_eids[g.indptr[u]:g.indptr[u + 1]].tolist()))
-                for u in range(n)]
-    per_edge: list[list[float]] = [[] for _ in range(m)]
-    base, extra = divmod(rho, n)
+    per_slot, extra = divmod(rho, 2 * g.m)
+    reps = per_slot + (np.arange(2 * g.m) < extra)
+    owner = np.repeat(np.arange(g.n), g.degrees)
+    # twin[s]: the other slot of the edge in slot s
+    by_edge = np.argsort(g.adj_eids, kind="stable")
+    twin = np.empty(2 * g.m, dtype=np.int64)
+    twin[by_edge[0::2]], twin[by_edge[1::2]] = by_edge[1::2], by_edge[0::2]
+    source_walks = np.cumsum(np.bincount(owner, reps, minlength=g.n))
+    slot_mass = np.zeros(2 * g.m)
+    # A walk's masses over its source's total are split into multiples of
+    # 1 / scale and a remainder in multiples of 1 / (scale * fine). Both
+    # parts are summed as exact integers (under 2^53), in any order. Index
+    # [limb, class, id]: class 0 takes the slots with per_slot walks, class 1
+    # the slots with one more.
+    scale = 2.0 ** (52 - (4 * (per_slot + 1) * g.n).bit_length())
+    fine = 2.0 ** (52 - (2 * rho).bit_length())
+    trail_acc = np.zeros((2, 2 * g.m))
+    node_acc = np.zeros((2, 2 * g.n))
+    back_acc = np.zeros((2, 2 * g.m))
 
-    for source in range(n):
-        walks = base + (1 if source < extra else 0)
-        edges_here = incident[source]
-        d = len(edges_here)
-        if walks == 0 or d == 0:
-            continue
+    def add(acc, index, share):
+        units = share * scale
+        whole = np.rint(units)
+        np.add.at(acc[0], index, whole)
+        np.add.at(acc[1], index, np.rint((units - whole) * fine))
 
-        if k == 1:
-            # single level: every incident edge is exactly one trail
-            for _, eid in edges_here:
-                per_edge[eid].append(1.0 / d)
-            continue
+    lo = 0
+    while lo < g.n:
+        done = source_walks[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(source_walks, done + BLOCK_WALKS,
+                                     side="right")), lo + 1)
+        first, last = g.indptr[lo], g.indptr[hi]
+        walk_slot = np.repeat(np.arange(first, last), reps[first:last])
 
-        src_num: dict[int, float] = {}
-        src_den = 0.0
-        cover = min(walks, d)
-        phase = int(rng.integers(d))
-        stratum_walks, leftover = divmod(walks, cover)
-        for j in range(cover):
-            first_v, first_e = edges_here[(phase + j) % d]
-            reps = stratum_walks + (1 if j < leftover else 0)
-            snum: dict[int, float] = {}
-            sden = 0.0
-            for _ in range(reps):
-                trail = [first_e]
-                weights = [1.0]
-                node = first_v
-                w = 1.0
-                for _ in range(k - 2):
-                    admissible = [(v, e) for v, e in incident[node]
-                                  if e not in trail]
-                    if not admissible:
-                        break
-                    node, eid = admissible[int(rng.integers(len(admissible)))]
-                    w *= len(admissible)
-                    trail.append(eid)
-                    weights.append(w)
-                # final level, added analytically over all completions
-                tail_edges = None
-                tail_w = 0.0
-                if len(trail) == k - 1:
-                    tail_edges = [e for _, e in incident[node] if e not in trail]
-                    tail_w = w * len(tail_edges)
-                suffix = tail_w
-                for t in range(len(trail) - 1, -1, -1):
-                    suffix += weights[t]
-                    snum[trail[t]] = snum.get(trail[t], 0.0) + suffix
-                sden += suffix
-                if tail_edges:
-                    for eid in tail_edges:
-                        snum[eid] = snum.get(eid, 0.0) + w
-            if sden > 0.0:
-                src_den += sden / reps
-                for eid, mass in snum.items():
-                    src_num[eid] = src_num.get(eid, 0.0) + mass / reps
-        if src_den > 0.0:
-            for eid, mass in src_num.items():
-                per_edge[eid].append(mass / src_den)
+        def chunks():
+            for c in range(0, walk_slot.size, BLOCK_WALKS):
+                slot = walk_slot[c:c + BLOCK_WALKS]
+                yield slot, _walks(g, twin, k, slot, rng)
 
-    return np.asarray([math.fsum(parts) for parts in per_edge],
-                      dtype=np.float64)
+        state = rng.bit_generator.state
+        held = []
+        for slot, walks in chunks():
+            np.add.at(slot_mass, slot, walks.suffix[:, 0])
+            if walk_slot.size <= BLOCK_WALKS:
+                held.append((slot, walks))
+        source_mass = np.bincount(owner[first:last] - lo,
+                                  slot_mass[first:last] / reps[first:last],
+                                  minlength=hi - lo)
+        if not held:
+            rng.bit_generator.state = state
+            held = chunks()
+        for slot, walks in held:
+            total = source_mass[owner[slot] - lo][:, None]
+            cls = (slot < extra)[:, None]
+            on = walks.trail >= 0
+            add(trail_acc, (walks.trail + g.m * cls)[on],
+                (walks.suffix / total)[on])
+            ended, at_end = walks.complete, walks.at_end
+            tail = walks.last_weight / total[ended, 0]
+            add(node_acc, walks.end + g.n * cls[ended, 0], tail)
+            add(back_acc, (walks.trail[ended] + g.m * cls[ended])[at_end],
+                np.broadcast_to(tail[:, None], at_end.shape)[at_end])
+        lo = hi
+
+    node_acc = node_acc.reshape(2, 2, g.n)
+    units = (trail_acc.reshape(2, 2, g.m)
+             + (node_acc[..., g.edge_u] + node_acc[..., g.edge_v])
+             - back_acc.reshape(2, 2, g.m))
+    units = units[:, 0] / per_slot + units[:, 1] / (per_slot + 1)
+    return (units[0] + units[1] / fine) / scale
 
 
-def oracle_kpath(g: Graph, k: int, max_n: int = 10, max_k: int = 6) -> np.ndarray:
-    """Exact k-path edge centrality by exhaustive trail enumeration.
+@dataclass
+class _Walks:
+    trail: np.ndarray        # (W, L) edge ids in walk order, -1 past a death
+    suffix: np.ndarray       # (W, L) mass of the trail prefixes through each edge
+    complete: np.ndarray     # ids of the walks that reached length L, if k >= 2
+    end: np.ndarray          # their end nodes
+    last_weight: np.ndarray  # their importance weights at length L
+    at_end: np.ndarray       # (complete, L) their trail edges at the end node
 
-    For every source, enumerates all edge-self-avoiding walks of length
-    1..k, counts how many traverse each edge, and sums the per-source
-    fractions. Sources with no walks contribute 0. The per-source fractions
-    are accumulated as exact rationals so that symmetric edges come out
-    exactly tied. Guarded to tiny instances; this is a test oracle, not a
-    production path.
-    """
-    if g.n > max_n or k > max_k:
-        raise ValueError(
-            f"oracle limited to n <= {max_n}, k <= {max_k}; got n={g.n}, k={k}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    m = g.m
-    incident = [list(zip(g.neighbors(u).tolist(),
-                         g.adj_eids[g.indptr[u]:g.indptr[u + 1]].tolist()))
-                for u in range(g.n)]
-    totals = [Fraction(0)] * m
-    for source in range(g.n):
-        walk_count = 0
-        edge_hits = [0] * m
-        trail: list[int] = []
-        used: set[int] = set()
 
-        def extend(node: int, depth: int) -> None:
-            nonlocal walk_count
-            if depth == k:
-                return
-            for nxt, eid in incident[node]:
-                if eid in used:
-                    continue
-                trail.append(eid)
-                used.add(eid)
-                walk_count += 1
-                for traversed in trail:
-                    edge_hits[traversed] += 1
-                extend(nxt, depth + 1)
-                used.discard(eid)
-                trail.pop()
+def _incident(path: np.ndarray, leave: np.ndarray,
+              enter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which trail edges touch each walk's current node ``path[:, -1]``,
+    and their slots in its row (``_NO_SLOT`` for the others)."""
+    here = path[:, -1:]
+    out = path[:, :-1] == here
+    back = path[:, 1:] == here
+    return out | back, np.where(out, leave, np.where(back, enter, _NO_SLOT))
 
-        extend(source, 0)
-        if walk_count:
-            for eid, hits in enumerate(edge_hits):
-                if hits:
-                    totals[eid] += Fraction(hits, walk_count)
-    return np.asarray([float(t) for t in totals], dtype=np.float64)
+
+def _walks(g: Graph, twin: np.ndarray, k: int, slot: np.ndarray,
+           rng) -> _Walks:
+    """Step the walks that start on ``slot``, all at once."""
+    length = max(k - 1, 1)
+    w = slot.size
+    draws = rng.random((w, max(k - 2, 0)))
+    # path[:, t] is the node before step t; the t-th trail edge sits in
+    # slot leave[:, t] of that node's row and enter[:, t] of the next one's
+    path = np.zeros((w, length + 1), dtype=np.int64)
+    leave = np.full((w, length), -1, dtype=np.int64)
+    enter = np.full((w, length), -1, dtype=np.int64)
+    leave[:, 0], enter[:, 0] = slot, twin[slot]
+    path[:, 0], path[:, 1] = g.adj[enter[:, 0]], g.adj[slot]
+    weight = np.zeros((w, length))
+    weight[:, 0] = 1.0
+    live = np.arange(w)
+    for j in range(1, length):
+        rows = live if live.size < w else slice(None)  # a view until a death
+        at, skip = _incident(path[rows, :j + 1], leave[rows, :j],
+                             enter[rows, :j])
+        x = path[rows, j]
+        adm = g.degrees[x] - at.sum(axis=1)
+        ok = adm > 0
+        if not ok.all():
+            live, x, skip, adm = live[ok], x[ok], skip[ok], adm[ok]
+        rows = live if live.size < w else slice(None)
+        r = np.minimum((draws[rows, j - 1] * adm).astype(np.int64), adm - 1)
+        pick = g.indptr[x] + r
+        skip.sort(axis=1)
+        for col in skip.T:
+            pick += col <= pick
+        leave[rows, j], enter[rows, j] = pick, twin[pick]
+        path[rows, j + 1] = g.adj[pick]
+        weight[rows, j] = weight[rows, j - 1] * adm
+
+    tail = np.zeros(w)
+    if k >= 2:
+        at_end, _ = _incident(path[live], leave[live], enter[live])
+        end = path[live, length]
+        last_weight = weight[live, length - 1]
+        tail[live] = last_weight * (g.degrees[end] - at_end.sum(axis=1))
+    else:
+        live = end = last_weight = np.zeros(0, dtype=np.int64)
+        at_end = np.zeros((0, length), dtype=bool)
+    suffix = np.cumsum(np.column_stack([tail, weight[:, ::-1]]),
+                       axis=1)[:, :0:-1]
+    trail = np.where(leave >= 0, g.adj_eids[leave], -1)
+    return _Walks(trail, suffix, live, end, last_weight, at_end)

@@ -1,0 +1,149 @@
+"""Scalar references for the k-path estimator, used only by the tests.
+
+``werw_kpath_reference`` is the per-slot WERW-Kpath sampler written one
+walk and one step at a time: the same allotment, the same uniforms consumed
+in the same order, the same arithmetic, so ``werw_kpath`` must equal it
+draw for draw. It lists each node's admissible edges explicitly instead of
+skipping excluded slots. ``oracle_kpath`` is the exact score by trail
+enumeration, the ground truth on tiny graphs.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from centbench import Graph, make_rng
+
+
+def werw_kpath_reference(g: Graph, k: int, rho: int, seed: int) -> np.ndarray:
+    """Per-slot weighted trail sampler, one scalar walk at a time.
+
+    Slot i (CSR order) gets rho // 2m walks, plus one if i < rho % 2m; a
+    walk's first edge is its slot. Every walk reads its own row of one
+    ``rng.random((rho, k - 2))`` block. A walk's masses over its source's
+    total are summed as exact integers in two limbs (multiples of 1 / scale,
+    and of 1 / (scale * fine) for the remainder), per class of slot
+    (rho // 2m walks or one more): trail masses per edge, completion masses
+    per end node, and the trail edges at the end node taken back out of
+    their node's completions.
+    """
+    if g.m == 0 or k < 1 or rho < 2 * g.m:
+        raise ValueError(f"need m >= 1, k >= 1 and rho >= 2m, got "
+                         f"m={g.m}, k={k}, rho={rho}")
+    rng = make_rng(seed)
+    rows = [list(zip(g.neighbors(u).tolist(),
+                     g.adj_eids[g.indptr[u]:g.indptr[u + 1]].tolist()))
+            for u in range(g.n)]
+    ends = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    per_slot, extra = divmod(rho, 2 * g.m)
+    length = max(k - 1, 1)
+    draws = rng.random((rho, max(k - 2, 0))).tolist()
+    scale = 2.0 ** (52 - (4 * (per_slot + 1) * g.n).bit_length())
+    fine = 2.0 ** (52 - (2 * rho).bit_length())
+    # exact integer sums, indexed [limb][class][id]
+    trail_acc = [[[0] * g.m for _ in range(2)] for _ in range(2)]
+    node_acc = [[[0] * g.n for _ in range(2)] for _ in range(2)]
+    back_acc = [[[0] * g.m for _ in range(2)] for _ in range(2)]
+
+    def add(acc, cls, i, share):
+        units = share * scale
+        whole = round(units)
+        acc[0][cls][i] += whole
+        acc[1][cls][i] += round((units - whole) * fine)
+    walk = 0
+    for source in range(g.n):
+        walks = []
+        source_mass = 0.0
+        for i, (first_node, first_edge) in enumerate(rows[source]):
+            cls = 1 if int(g.indptr[source]) + i < extra else 0
+            reps = per_slot + cls
+            slot_mass = 0.0
+            for _ in range(reps):
+                trail, weights, node, w = [first_edge], [1.0], first_node, 1.0
+                for u in draws[walk][:length - 1]:
+                    admissible = [(v, e) for v, e in rows[node]
+                                  if e not in trail]
+                    if not admissible:
+                        break
+                    r = min(int(u * len(admissible)), len(admissible) - 1)
+                    node, e = admissible[r]
+                    w *= len(admissible)
+                    trail.append(e)
+                    weights.append(w)
+                walk += 1
+                at_end = None
+                tail = 0.0
+                if k >= 2 and len(trail) == length:
+                    at_end = [e for e in trail if node in ends[e]]
+                    tail = w * (len(rows[node]) - len(at_end))
+                suffix = [0.0] * len(trail)
+                mass = tail
+                for t in range(len(trail) - 1, -1, -1):
+                    mass += weights[t]
+                    suffix[t] = mass
+                slot_mass += suffix[0]
+                walks.append((cls, trail, suffix, node, w, at_end))
+            source_mass += slot_mass / reps
+        for cls, trail, suffix, node, w, at_end in walks:
+            for e, mass in zip(trail, suffix):
+                add(trail_acc, cls, e, mass / source_mass)
+            if at_end is not None:
+                add(node_acc, cls, node, w / source_mass)
+                for e in at_end:
+                    add(back_acc, cls, e, w / source_mass)
+    node_acc = np.asarray(node_acc, dtype=np.float64)
+    units = (np.asarray(trail_acc, dtype=np.float64)
+             + (node_acc[..., g.edge_u] + node_acc[..., g.edge_v])
+             - np.asarray(back_acc, dtype=np.float64))
+    units = units[:, 0] / per_slot + units[:, 1] / (per_slot + 1)
+    return (units[0] + units[1] / fine) / scale
+
+
+def oracle_kpath(g: Graph, k: int, max_n: int = 10, max_k: int = 6) -> np.ndarray:
+    """Exact k-path edge centrality by exhaustive trail enumeration.
+
+    For every source, enumerates all edge-self-avoiding walks of length
+    1..k, counts how many traverse each edge, and sums the per-source
+    fractions. Sources with no walks contribute 0. The per-source fractions
+    are accumulated as exact rationals so that symmetric edges come out
+    exactly tied. Guarded to tiny instances.
+    """
+    if g.n > max_n or k > max_k:
+        raise ValueError(
+            f"oracle limited to n <= {max_n}, k <= {max_k}; got n={g.n}, k={k}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    m = g.m
+    incident = [list(zip(g.neighbors(u).tolist(),
+                         g.adj_eids[g.indptr[u]:g.indptr[u + 1]].tolist()))
+                for u in range(g.n)]
+    totals = [Fraction(0)] * m
+    for source in range(g.n):
+        walk_count = 0
+        edge_hits = [0] * m
+        trail: list[int] = []
+        used: set[int] = set()
+
+        def extend(node: int, depth: int) -> None:
+            nonlocal walk_count
+            if depth == k:
+                return
+            for nxt, eid in incident[node]:
+                if eid in used:
+                    continue
+                trail.append(eid)
+                used.add(eid)
+                walk_count += 1
+                for traversed in trail:
+                    edge_hits[traversed] += 1
+                extend(nxt, depth + 1)
+                used.discard(eid)
+                trail.pop()
+
+        extend(source, 0)
+        if walk_count:
+            for eid, hits in enumerate(edge_hits):
+                if hits:
+                    totals[eid] += Fraction(hits, walk_count)
+    return np.asarray([float(t) for t in totals], dtype=np.float64)

@@ -170,6 +170,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"centbench: error: {message}\n"
 
+    def test_missing_graph_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.edges"
+        assert run_cli("centrality", "--graph", str(path),
+                       "--measure", "dc") == 2
+        assert capsys.readouterr().err == \
+            f"centbench: error: [Errno 2] No such file or directory: '{path}'\n"
+
+    def test_config_without_node_count(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sf_m": [2]}))
+        assert run_cli("experiment", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == \
+            "centbench: error: missing config key(s): n\n"
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 60, "er_p": [0.1], "sedes": 2}))
@@ -214,4 +229,5 @@ def test_kpath_help_states_default_rho(capsys):
     with pytest.raises(SystemExit):
         run_cli("kpath", "--help")
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "walk count (default: max(edge count, node count))" in help_text
+    assert ("walk count, at least 2 x edge count (default: 8 x edge count, "
+            "four walks per adjacency slot)") in help_text

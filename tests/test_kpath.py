@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from centbench import (KpathConfig, build_graph, oracle_kpath, spearman,
-                       werw_kpath)
+import centbench.kpath
+from centbench import KpathConfig, build_graph, spearman, werw_kpath
 
 from conftest import path_graph, random_connected_graph, star_graph
+from reference import oracle_kpath, werw_kpath_reference
 
 
 class TestOracle:
@@ -38,8 +39,9 @@ class TestOracle:
 class TestWerwKpath:
     def test_single_edge_forced_walks(self):
         g = build_graph([(0, 1)], 2)
-        scores = werw_kpath(g, KpathConfig(k=10, rho=4, seed=3))
-        assert scores.tolist() == [2.0]
+        for rho in (None, 2, 3, 4):
+            scores = werw_kpath(g, KpathConfig(k=10, rho=rho, seed=3))
+            assert scores.tolist() == [2.0]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="no edges"):
@@ -51,17 +53,18 @@ class TestWerwKpath:
         with pytest.raises(ValueError):
             werw_kpath(path_graph(3), KpathConfig(rho=0))
 
-    def test_rho_below_node_count_rejected(self):
-        # an even split of rho < n walks would leave some sources without any
-        with pytest.raises(ValueError, match="rho >= n"):
-            werw_kpath(path_graph(8), KpathConfig(k=2, rho=7))
-        with pytest.raises(ValueError, match="rho >= n"):
-            KpathConfig(rho=3).resolve(10, 4)
-        assert KpathConfig().resolve(7, 8) == (10, 8)
-        assert KpathConfig().resolve(25, 8) == (10, 25)
+    def test_rho_below_slot_count_rejected(self):
+        # rho < 2m walks would leave some adjacency slots without any
+        with pytest.raises(ValueError, match="rho >= 2m"):
+            werw_kpath(path_graph(8), KpathConfig(k=2, rho=13))
+        with pytest.raises(ValueError, match="rho >= 2m"):
+            KpathConfig(rho=19).resolve(10)
+        assert KpathConfig(rho=14).resolve(7) == (10, 14)
+        assert KpathConfig().resolve(7) == (10, 56)
+        assert KpathConfig().resolve(25) == (10, 200)
 
     def test_default_rho_covers_every_source(self):
-        # m = n - 1 on a path: rho = m would give the last source no walk
+        # every adjacency slot gets walks, so the highest-id sources do too
         g = path_graph(8)
         reversed_ids = build_graph([(7 - u, 7 - v) for u, v in g.edge_list()], 8)
         for h in (g, reversed_ids):
@@ -75,15 +78,30 @@ class TestWerwKpath:
         assert np.array_equal(a, b)
 
     def test_exact_for_k_up_to_two(self, np_rng):
-        # with every first-edge stratum covered (rho >= n * max degree) and
-        # the last level analytic, k <= 2 estimates equal the oracle up to
-        # float rounding
+        # every first-edge stratum (adjacency slot) gets walks at the default
+        # rho, and the last level is analytic, so k <= 2 estimates equal the
+        # oracle up to float rounding
         for _ in range(6):
             g = random_connected_graph(int(np_rng.integers(3, 9)), 0.5, np_rng)
-            rho = g.n * int(g.degrees.max())
             for k in (1, 2):
-                est = werw_kpath(g, KpathConfig(k=k, rho=rho, seed=1))
+                est = werw_kpath(g, KpathConfig(k=k, seed=1))
                 assert np.allclose(est, oracle_kpath(g, k), atol=1e-12)
+
+    def test_seed_mean_matches_oracle_at_default_budget(self):
+        # the per-source ratio of sampled masses is biased by O(1/walks);
+        # at the default rho the mean over seeds must sit within 5% of the
+        # oracle on every edge
+        rng = np.random.default_rng(5)
+        worst = []
+        for _ in range(3):
+            g = random_connected_graph(8, 0.45, rng)
+            for k in (3, 5):
+                oracle = oracle_kpath(g, k)
+                mean = np.mean([werw_kpath(g, KpathConfig(k=k, seed=s))
+                                for s in range(1000)], axis=0)
+                worst.append((g.m, k, float(np.max(np.abs(mean - oracle)
+                                                   / oracle))))
+        assert max(w for _, _, w in worst) <= 0.05, worst
 
     def test_p3_symmetry_converges(self):
         scores = werw_kpath(path_graph(3), KpathConfig(k=1, rho=20000, seed=11))
@@ -122,3 +140,60 @@ class TestWerwKpath:
         a = werw_kpath(g, KpathConfig(k=3, rho=2000, seed=77))
         b = werw_kpath(shuffled, KpathConfig(k=3, rho=2000, seed=77))
         assert np.array_equal(b, a[perm])
+
+
+def _reference_graphs():
+    rng = np.random.default_rng(606)
+    graphs = {f"random{i}": random_connected_graph(
+        int(rng.integers(5, 13)), float(rng.uniform(0.2, 0.6)), rng)
+        for i in range(4)}
+    graphs["path"] = path_graph(9)
+    # a random recursive tree: most trails end at a leaf well before k
+    graphs["tree"] = build_graph([(i, int(rng.integers(i)))
+                                  for i in range(1, 15)], 15)
+    graphs["star"] = star_graph(6)
+    return graphs
+
+
+REFERENCE_GRAPHS = _reference_graphs()
+
+
+def _rho_cases(m):
+    return {"2m": 2 * m, "8m": 8 * m, "2m+7": 2 * m + 7}
+
+
+def assert_matches_reference(g, k, rho, seed):
+    est = werw_kpath(g, KpathConfig(k=k, rho=rho, seed=seed))
+    ref = werw_kpath_reference(g, k, rho, seed)
+    if k <= 2:
+        assert np.array_equal(est, ref), (k, rho, est, ref)
+    else:
+        np.testing.assert_allclose(est, ref, rtol=1e-12, atol=0,
+                                   err_msg=f"k={k} rho={rho}")
+
+
+class TestBatchedMatchesReference:
+    """The batched kernel equals the scalar per-slot sampler draw for draw."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+    def test_small_graphs(self, name):
+        g = REFERENCE_GRAPHS[name]
+        for rho in _rho_cases(g.m).values():
+            for k in range(1, 11):
+                assert_matches_reference(g, k, rho, seed=31 * k + rho)
+
+    def test_more_walks_than_one_block(self):
+        g = random_connected_graph(64, 0.3, np.random.default_rng(8))
+        assert 8 * g.m > centbench.kpath.BLOCK_WALKS
+        for rho in _rho_cases(g.m).values():
+            for k in (2, 3, 10):
+                assert_matches_reference(g, k, rho, seed=k)
+
+    def test_sources_larger_than_a_block(self, monkeypatch):
+        # a source with more walks than a block runs in chunks, twice
+        monkeypatch.setattr(centbench.kpath, "BLOCK_WALKS", 5)
+        for name in ("star", "tree", "random0"):
+            g = REFERENCE_GRAPHS[name]
+            for rho in _rho_cases(g.m).values():
+                for k in (1, 2, 4, 10):
+                    assert_matches_reference(g, k, rho, seed=k)
