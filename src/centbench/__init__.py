@@ -9,11 +9,11 @@ measures across generated graph families.
 """
 from .exact import (DisconnectedGraphError, betweenness_centrality,
                     closeness_centrality, clustering_coefficient,
-                    degree_centrality, oracle_betweenness, triangle_counts)
+                    degree_centrality, triangle_counts)
 from .generators import (GeneratorSpec, gen_erdos_renyi, gen_holme_kim,
                          gen_nws_small_world)
-from .got import (GotConfig, GotResult, GotState, ThiefState, TraceRecord,
-                  default_epochs, epoch_step, initial_state, run_got)
+from .got import (GotConfig, GotResult, TraceRecord, default_epochs,
+                  run_got)
 from .graph import (Graph, GraphError, build_graph, connected_components,
                     is_connected, largest_connected_component,
                     parse_edge_list, read_edge_list, write_edge_list)

@@ -60,7 +60,10 @@ def read_scores(path) -> np.ndarray:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return np.asarray(json.loads(text)["scores"], dtype=np.float64)
+        scores = json.loads(text).get("scores")
+        if not isinstance(scores, list):
+            raise ValueError(f'{path}: JSON score file has no "scores" list')
+        return np.asarray(scores, dtype=np.float64)
     values = []
     for line in text.splitlines():
         line = line.strip()

@@ -20,13 +20,11 @@ Betweenness and closeness both walk each source's BFS levels with
 ``graph.bfs_levels``, the package's one frontier loop; they stay two
 functions so that each can be called and timed on its own.
 
-Distances are unweighted hop counts. ``oracle_betweenness`` recomputes
-betweenness from scratch by all-pairs BFS path counting and exists purely as
-an independent test oracle for the Brandes implementation.
+Distances are unweighted hop counts. The tests check Brandes against
+``oracle_betweenness`` in ``tests/reference.py``, which recomputes
+betweenness from scratch by all-pairs BFS path counting.
 """
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -144,54 +142,3 @@ def clustering_coefficient(g: Graph) -> np.ndarray:
     mask = g.degrees >= 2
     out[mask] = 2.0 * tri[mask] / denom[mask]
     return out
-
-
-def oracle_betweenness(g: Graph, max_n: int = 200) -> np.ndarray:
-    """Betweenness by explicit all-pairs BFS path counting (test oracle).
-
-    Contract matches ``betweenness_centrality`` exactly but the computation
-    is independent: plain deque BFS per source, then the pairwise identity
-    that the shortest h-k paths through i number sigma(h,i) * sigma(i,k)
-    whenever d(h,i) + d(i,k) = d(h,k). Guarded to small graphs so it is not
-    used by accident where Brandes is intended.
-    """
-    n = g.n
-    if n > max_n:
-        raise ValueError(f"oracle limited to n <= {max_n}, got n={n}")
-    if n < 3 or g.m == 0:
-        return np.zeros(n, dtype=np.float64)
-    rows = [g.neighbors(u).tolist() for u in range(n)]
-    dist_m = np.full((n, n), np.inf, dtype=np.float64)
-    sigma_m = np.zeros((n, n), dtype=np.float64)
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        dist[s] = 0
-        sigma[s] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            sv = sigma[v]
-            for w in rows[v]:
-                if dist[w] == -1:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sv
-        for v in range(n):
-            if dist[v] >= 0:
-                dist_m[s, v] = dist[v]
-                sigma_m[s, v] = sigma[v]
-    bc = np.zeros(n, dtype=np.float64)
-    finite = np.isfinite(dist_m)
-    for i in range(n):
-        through = dist_m[:, i:i + 1] + dist_m[i:i + 1, :]
-        on_path = finite & (through == dist_m)
-        counts = sigma_m[:, i:i + 1] * sigma_m[i:i + 1, :]
-        frac = np.zeros((n, n), dtype=np.float64)
-        np.divide(counts, sigma_m, out=frac, where=on_path)
-        frac[i, :] = 0.0
-        frac[:, i] = 0.0
-        bc[i] = np.triu(frac, 1).sum()
-    return bc

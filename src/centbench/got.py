@@ -11,10 +11,9 @@ a LOW time-averaged stock (phi) means HIGH centrality; the edge score
 
 Epoch semantics are sequential: thieves act in ascending thief-id order
 with immediate stock updates, so a later thief sees an earlier thief's
-pickup within the same epoch. ``epoch_step`` implements that reference
-semantics directly; ``run_got`` uses an array kernel that is equivalent
-to it, draw for draw (the test suite asserts this), but runs orders of
-magnitude faster.
+pickup within the same epoch. ``run_got`` is an array kernel equal,
+draw for draw, to that one-thief-at-a-time simulation; the sequential
+version lives with the tests (``tests/reference.py``) as their reference.
 
 The kernel moves every thief at once, then resolves the epoch's pickups
 node by node, since a node's outcome depends only on its own start stock
@@ -34,7 +33,7 @@ ceil(log(n)^3) with a configurable logarithm base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -92,31 +91,6 @@ class GotConfig:
         return tpn, vd, epochs
 
 
-@dataclass
-class ThiefState:
-    """One thief: home node, current position, cargo flag, outbound trail.
-
-    ``path_stack`` always starts at the home node and ends at the current
-    position. While carrying, the thief retraces the stack toward home.
-    """
-    home: int
-    position: int
-    carrying: bool = False
-    path_stack: list[int] = field(default_factory=list)
-
-
-@dataclass
-class GotState:
-    """Full mutable simulation state between epochs."""
-    vdiamonds_at_node: np.ndarray        # int64 per node
-    thieves: list[ThiefState]
-    epoch: int
-    edge_loaded_crossings: np.ndarray    # int64 per edge, current epoch only
-
-    def carried_total(self) -> int:
-        return sum(1 for t in self.thieves if t.carrying)
-
-
 class TraceRecord(NamedTuple):
     epoch: int
     vdiamonds_held: int
@@ -131,68 +105,12 @@ class GotResult:
     trace: list[TraceRecord] | None
 
 
-def initial_state(g: Graph, cfg: GotConfig) -> GotState:
-    tpn, vd, _ = cfg.resolve(g.n)
-    thieves = [ThiefState(home=node, position=node, path_stack=[node])
-               for node in range(g.n) for _ in range(tpn)]
-    return GotState(
-        vdiamonds_at_node=np.full(g.n, vd, dtype=np.int64),
-        thieves=thieves,
-        epoch=0,
-        edge_loaded_crossings=np.zeros(g.m, dtype=np.int64),
-    )
-
-
-def epoch_step(g: Graph, state: GotState, rng: np.random.Generator) -> GotState:
-    """Advance the simulation one epoch, in place (reference semantics).
-
-    Thieves act in ascending id order with immediate vdiamond updates. One
-    uniform draw is consumed per thief that starts the epoch empty-handed,
-    batched in a single generator call so that any implementation making the
-    same batched draws sees the identical stream.
-    """
-    counts = state.vdiamonds_at_node
-    state.edge_loaded_crossings[:] = 0
-    draws = rng.random(sum(1 for t in state.thieves if not t.carrying))
-    di = 0
-    for thief in state.thieves:
-        if thief.carrying:
-            stack = thief.path_stack
-            frm = stack.pop()
-            to = stack[-1]
-            state.edge_loaded_crossings[g.edge_id(frm, to)] += 1
-            thief.position = to
-            if to == thief.home:
-                counts[to] += 1
-                thief.carrying = False
-        else:
-            pos = thief.position
-            u = draws[di]
-            di += 1
-            deg = int(g.degrees[pos])
-            if deg == 0:
-                raise ValueError(f"thief stranded on isolated node {pos}")
-            slot = int(g.indptr[pos]) + int(u * deg)
-            to = int(g.adj[slot])
-            thief.position = to
-            if to == thief.home:
-                # back at base empty-handed: the outbound trail restarts
-                thief.path_stack = [to]
-            else:
-                thief.path_stack.append(to)
-                if counts[to] >= 1:
-                    counts[to] -= 1
-                    thief.carrying = True
-    state.epoch += 1
-    return state
-
-
 def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     """Run the full simulation and return time-averaged node and edge scores.
 
     Requires a connected graph with at least two nodes. Deterministic for a
-    fixed (graph, config, seed); equivalent to iterating ``epoch_step`` from
-    ``initial_state`` with the same generator.
+    fixed (graph, config, seed); equal to iterating the sequential reference
+    ``epoch_step`` of ``tests/reference.py`` with the same generator.
     """
     n, m = g.n, g.m
     if n < 2:

@@ -37,9 +37,6 @@ class Graph:
         """Sorted neighbor ids of ``u`` (a read-only view)."""
         return self.adj[self.indptr[u]:self.indptr[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.degrees[u])
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         i = int(np.searchsorted(row, v))

@@ -24,7 +24,9 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import combinations
 from pathlib import Path
 
 from .exact import (betweenness_centrality, closeness_centrality,
@@ -40,6 +42,7 @@ SCHEMA_VERSION = 1
 CSV_COLUMNS = ["schema_version", "family", "n", "param", "seed", "lcc_n",
                "lcc_m", "pair", "coefficient", "value", "wall_ms"]
 PLOT_COLUMNS = ["family", "n", "param", "seed", "pair", "coefficient", "value"]
+ERROR_COLUMNS = ["family", "n", "param", "seed", "error"]
 NODE_MEASURES = ("dc", "bc", "cl", "cc")
 COEFFICIENTS = ("pearson", "spearman", "kendall")
 
@@ -97,17 +100,16 @@ class ExperimentConfig:
         return out
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build from the JSON form; ValueError names any unknown or
-        missing key."""
+        missing key, and a config or section that is not a JSON object."""
         d = _known_keys(cls, d, "")
         for key, sub in (("got", GotConfig), ("kpath", KpathConfig)):
-            if isinstance(d.get(key), dict):
-                d[key] = sub(**_known_keys(sub, d[key], f"{key}."))
+            if key in d:
+                d[key] = sub(**_known_keys(sub, d[key], key))
         return cls(**d)
 
     @classmethod
@@ -116,12 +118,17 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
 
-def _known_keys(cls, d: dict, prefix: str) -> dict:
+def _known_keys(cls, d: dict, section: str) -> dict:
+    """A copy of ``d``, checked to be an object holding every required field
+    of ``cls`` and no other key; ``section`` is "" for the top level."""
+    if not isinstance(d, dict):
+        where = f"config section {section}" if section else "config"
+        raise ValueError(f"{where} must be a JSON object, "
+                         f"got {type(d).__name__}")
+    prefix = f"{section}." if section else ""
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError("unknown config key(s): "
@@ -136,13 +143,8 @@ def _known_keys(cls, d: dict, prefix: str) -> dict:
 
 def _generator_spec(family: str, n: int, param: float, seed: int,
                     sf_triangle_p: float, sw_shortcut_p: float) -> GeneratorSpec:
-    if family == "SF":
-        return GeneratorSpec("SF", n, int(param), sf_triangle_p, seed)
-    if family == "SW":
-        return GeneratorSpec("SW", n, int(param), sw_shortcut_p, seed)
-    if family == "ER":
-        return GeneratorSpec("ER", n, float(param), 0.0, seed)
-    raise ValueError(f"unknown family {family!r}")
+    aux_p = {"SF": sf_triangle_p, "SW": sw_shortcut_p}.get(family, 0.0)
+    return GeneratorSpec(family, n, param, aux_p, seed)
 
 
 def run_cell(family: str, n: int, param: float, seed: int,
@@ -196,9 +198,8 @@ def run_cell(family: str, n: int, param: float, seed: int,
     ]
     pairs.append(("got_edge_vs_kpath", got_res.psi, kpath_scores))
     if all_pairs:
-        for i, a in enumerate(NODE_MEASURES):
-            for b in NODE_MEASURES[i + 1:]:
-                pairs.append((f"{a}_vs_{b}", node_scores[a], node_scores[b]))
+        pairs += [(f"{a}_vs_{b}", node_scores[a], node_scores[b])
+                  for a, b in combinations(NODE_MEASURES, 2)]
 
     results = _timed("corr", lambda: [correlate(a, b) for _, a, b in pairs])
     # every record of the cell reports the same whole-cell wall time
@@ -208,12 +209,15 @@ def run_cell(family: str, n: int, param: float, seed: int,
                              coefficient=coeff, value=value, wall_ms=total_ms,
                              stage_wall_ms=dict(stage_ms))
             for (pair_name, _, _), res in zip(pairs, results)
-            for coeff, value in (("pearson", res.r), ("spearman", res.rho),
-                                 ("kendall", res.tau))]
+            for coeff, value in zip(COEFFICIENTS, (res.r, res.rho, res.tau))]
 
 
-def _run_cell_task(args) -> list[ExperimentRecord]:
-    return run_cell(*args)
+def _run_cell_task(args) -> tuple[list[ExperimentRecord], dict | None]:
+    """One cell's (records, None), or ([], its error entry) if it failed."""
+    try:
+        return run_cell(*args), None
+    except CellError as exc:
+        return [], dict(zip(ERROR_COLUMNS, (*args[:4], str(exc))))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir,
@@ -221,7 +225,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     """Run every cell of the matrix and write all report files.
 
     Returns (records, errors). Cell failures become error entries; the run
-    continues past them.
+    continues past them. With ``workers`` > 1 the cells run in a process
+    pool; the records and errors come back in cell order either way.
     """
     cells = cfg.cells()
     if not cells:
@@ -231,26 +236,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
              for family, param, seed in cells]
     records: list[ExperimentRecord] = []
     errors: list[dict] = []
-
-    def _note_failure(cell, exc):
-        family, param, seed = cell
-        errors.append({"family": family, "n": cfg.n, "param": param,
-                       "seed": seed, "error": str(exc)})
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = list(map(lambda t: pool.submit(_run_cell_task, t), tasks))
-            for cell, fut in zip(cells, futures):
-                try:
-                    records.extend(fut.result())
-                except CellError as exc:
-                    _note_failure(cell, exc)
-    else:
-        for cell, task in zip(cells, tasks):
-            try:
-                records.extend(_run_cell_task(task))
-            except CellError as exc:
-                _note_failure(cell, exc)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        for cell_records, error in (pool.map if pool else map)(_run_cell_task,
+                                                               tasks):
+            records.extend(cell_records)
+            if error is not None:
+                errors.append(error)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -263,43 +255,39 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     return records, errors
 
 
-def write_csv_report(records: list[ExperimentRecord], path) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.csv_row())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_json_report(cfg: ExperimentConfig, records, errors, path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "records": [asdict(r) for r in records],
-        "errors": errors,
-    }
+def _write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
+def write_csv_report(records: list[ExperimentRecord], path) -> None:
+    _write_csv(path, CSV_COLUMNS, (rec.csv_row() for rec in records))
+
+
+def write_json_report(cfg: ExperimentConfig, records, errors, path) -> None:
+    _write_json(path, {"schema_version": SCHEMA_VERSION,
+                       "config": cfg.to_dict(),
+                       "records": [asdict(r) for r in records],
+                       "errors": errors})
+
+
 def write_plot_data(records: list[ExperimentRecord], coefficient: str, path) -> None:
-    """One coefficient's records, shaped for value-vs-parameter plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PLOT_COLUMNS)
-        for rec in records:
-            if rec.coefficient != coefficient:
-                continue
-            writer.writerow([rec.family, rec.n, rec.param, rec.seed, rec.pair,
-                             rec.coefficient,
-                             "" if rec.value is None else repr(rec.value)])
+    """One coefficient's records, shaped for value-vs-parameter plotting:
+    the report CSV's rows for that coefficient, in the plot columns."""
+    keep = [CSV_COLUMNS.index(c) for c in PLOT_COLUMNS]
+    _write_csv(path, PLOT_COLUMNS, ([rec.csv_row()[i] for i in keep]
+                                    for rec in records
+                                    if rec.coefficient == coefficient))
 
 
 def write_error_csv(errors: list[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "n", "param", "seed", "error"])
-        for err in errors:
-            writer.writerow([err["family"], err["n"], err["param"],
-                             err["seed"], err["error"]])
+    _write_csv(path, ERROR_COLUMNS,
+               ([err[c] for c in ERROR_COLUMNS] for err in errors))

@@ -1,4 +1,4 @@
-"""Scalar references for the k-path estimator, used only by the tests.
+"""Scalar references for the library's array kernels, used only by the tests.
 
 ``werw_kpath_reference`` is the per-slot WERW-Kpath sampler written one
 walk and one step at a time: the same allotment, the same uniforms consumed
@@ -6,14 +6,22 @@ in the same order, the same arithmetic, so ``werw_kpath`` must equal it
 draw for draw. It lists each node's admissible edges explicitly instead of
 skipping excluded slots. ``oracle_kpath`` is the exact score by trail
 enumeration, the ground truth on tiny graphs.
+
+``initial_state`` and ``epoch_step`` are the sequential Game of Thieves:
+thieves act one at a time in ascending id order with immediate stock
+updates, and ``run_got`` must equal iterating them, draw for draw.
+``oracle_betweenness`` recomputes betweenness by all-pairs BFS path
+counting, independently of the Brandes accumulation it checks.
 """
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from centbench import Graph, make_rng
+from centbench import GotConfig, Graph, make_rng
 
 
 def werw_kpath_reference(g: Graph, k: int, rho: int, seed: int) -> np.ndarray:
@@ -147,3 +155,132 @@ def oracle_kpath(g: Graph, k: int, max_n: int = 10, max_k: int = 6) -> np.ndarra
                 if hits:
                     totals[eid] += Fraction(hits, walk_count)
     return np.asarray([float(t) for t in totals], dtype=np.float64)
+
+
+@dataclass
+class ThiefState:
+    """One thief: home node, current position, cargo flag, outbound trail.
+
+    ``path_stack`` always starts at the home node and ends at the current
+    position. While carrying, the thief retraces the stack toward home.
+    """
+    home: int
+    position: int
+    carrying: bool = False
+    path_stack: list[int] = field(default_factory=list)
+
+
+@dataclass
+class GotState:
+    """Full mutable simulation state between epochs."""
+    vdiamonds_at_node: np.ndarray        # int64 per node
+    thieves: list[ThiefState]
+    epoch: int
+    edge_loaded_crossings: np.ndarray    # int64 per edge, current epoch only
+
+
+def initial_state(g: Graph, cfg: GotConfig) -> GotState:
+    tpn, vd, _ = cfg.resolve(g.n)
+    thieves = [ThiefState(home=node, position=node, path_stack=[node])
+               for node in range(g.n) for _ in range(tpn)]
+    return GotState(
+        vdiamonds_at_node=np.full(g.n, vd, dtype=np.int64),
+        thieves=thieves,
+        epoch=0,
+        edge_loaded_crossings=np.zeros(g.m, dtype=np.int64),
+    )
+
+
+def epoch_step(g: Graph, state: GotState, rng: np.random.Generator) -> GotState:
+    """Advance the simulation one epoch, in place (reference semantics).
+
+    Thieves act in ascending id order with immediate vdiamond updates. One
+    uniform draw is consumed per thief that starts the epoch empty-handed,
+    batched in a single generator call so that any implementation making the
+    same batched draws sees the identical stream.
+    """
+    counts = state.vdiamonds_at_node
+    state.edge_loaded_crossings[:] = 0
+    draws = rng.random(sum(1 for t in state.thieves if not t.carrying))
+    di = 0
+    for thief in state.thieves:
+        if thief.carrying:
+            stack = thief.path_stack
+            frm = stack.pop()
+            to = stack[-1]
+            state.edge_loaded_crossings[g.edge_id(frm, to)] += 1
+            thief.position = to
+            if to == thief.home:
+                counts[to] += 1
+                thief.carrying = False
+        else:
+            pos = thief.position
+            u = draws[di]
+            di += 1
+            deg = int(g.degrees[pos])
+            if deg == 0:
+                raise ValueError(f"thief stranded on isolated node {pos}")
+            slot = int(g.indptr[pos]) + int(u * deg)
+            to = int(g.adj[slot])
+            thief.position = to
+            if to == thief.home:
+                # back at base empty-handed: the outbound trail restarts
+                thief.path_stack = [to]
+            else:
+                thief.path_stack.append(to)
+                if counts[to] >= 1:
+                    counts[to] -= 1
+                    thief.carrying = True
+    state.epoch += 1
+    return state
+
+
+def oracle_betweenness(g: Graph, max_n: int = 200) -> np.ndarray:
+    """Betweenness by explicit all-pairs BFS path counting (test oracle).
+
+    Contract matches ``betweenness_centrality`` exactly but the computation
+    is independent: plain deque BFS per source, then the pairwise identity
+    that the shortest h-k paths through i number sigma(h,i) * sigma(i,k)
+    whenever d(h,i) + d(i,k) = d(h,k). Guarded to small graphs so it is not
+    used by accident where Brandes is intended.
+    """
+    n = g.n
+    if n > max_n:
+        raise ValueError(f"oracle limited to n <= {max_n}, got n={n}")
+    if n < 3 or g.m == 0:
+        return np.zeros(n, dtype=np.float64)
+    rows = [g.neighbors(u).tolist() for u in range(n)]
+    dist_m = np.full((n, n), np.inf, dtype=np.float64)
+    sigma_m = np.zeros((n, n), dtype=np.float64)
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[s] = 0
+        sigma[s] = 1
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            dv = dist[v]
+            sv = sigma[v]
+            for w in rows[v]:
+                if dist[w] == -1:
+                    dist[w] = dv + 1
+                    queue.append(w)
+                if dist[w] == dv + 1:
+                    sigma[w] += sv
+        for v in range(n):
+            if dist[v] >= 0:
+                dist_m[s, v] = dist[v]
+                sigma_m[s, v] = sigma[v]
+    bc = np.zeros(n, dtype=np.float64)
+    finite = np.isfinite(dist_m)
+    for i in range(n):
+        through = dist_m[:, i:i + 1] + dist_m[i:i + 1, :]
+        on_path = finite & (through == dist_m)
+        counts = sigma_m[:, i:i + 1] * sigma_m[i:i + 1, :]
+        frac = np.zeros((n, n), dtype=np.float64)
+        np.divide(counts, sigma_m, out=frac, where=on_path)
+        frac[i, :] = 0.0
+        frac[:, i] = 0.0
+        bc[i] = np.triu(frac, 1).sum()
+    return bc

@@ -29,14 +29,13 @@ from centbench import (ExperimentConfig, GotConfig, KpathConfig,
                        betweenness_centrality, clustering_coefficient,
                        gen_erdos_renyi, gen_holme_kim, gen_nws_small_world,
                        is_connected, kendall, largest_connected_component,
-                       oracle_betweenness, pearson,
-                       run_experiment, run_got, spearman, werw_kpath)
+                       pearson, run_experiment, run_got, spearman, werw_kpath)
 from centbench.harness import _generator_spec
 from centbench.rng import derive_seed
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
                       random_connected_graph, star_graph)
-from reference import oracle_kpath
+from reference import oracle_betweenness, oracle_kpath
 
 
 def report(k, name, ok, detail=""):

@@ -177,6 +177,16 @@ class TestErrors:
         assert capsys.readouterr().err == \
             f"centbench: error: [Errno 2] No such file or directory: '{path}'\n"
 
+    @pytest.mark.parametrize("doc", ['{"foo": 1}', '{"scores": 3}'])
+    def test_json_scores_without_list(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        good = tmp_path / "good.txt"
+        good.write_text("1\n2\n3\n")
+        assert run_cli("correlate", str(bad), str(good)) == 2
+        assert capsys.readouterr().err == \
+            f'centbench: error: {bad}: JSON score file has no "scores" list\n'
+
     def test_config_without_node_count(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"sf_m": [2]}))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from centbench import (GotConfig, build_graph, default_epochs, epoch_step,
-                       initial_state, run_got)
+from centbench import GotConfig, build_graph, default_epochs, run_got
 from centbench.got import _resolve_pickups
 from centbench.rng import make_rng
 
 from conftest import cycle_graph, random_connected_graph, random_graph, star_graph
+from reference import epoch_step, initial_state
 
 
 def run_via_epoch_steps(g, cfg):

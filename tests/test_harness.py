@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -81,6 +82,14 @@ class TestExperimentConfig:
         ({"n": 50, "got": {"epochs": 5, "thieves": 2}},
          r"unknown config key\(s\): got\.thieves$"),
         ({"n": 50, "kpath": {"K": 3}}, r"unknown config key\(s\): kpath\.K$"),
+        ([{"n": 50}], r"^config must be a JSON object, got list$"),
+        ("x", r"^config must be a JSON object, got str$"),
+        ({"n": 50, "got": 5},
+         r"^config section got must be a JSON object, got int$"),
+        ({"n": 50, "kpath": 5},
+         r"^config section kpath must be a JSON object, got int$"),
+        ({"n": 50, "got": None},
+         r"^config section got must be a JSON object, got NoneType$"),
     ])
     def test_from_dict_names_bad_keys(self, d, message):
         with pytest.raises(ValueError, match=message):
@@ -128,6 +137,19 @@ class TestRunExperiment:
         with open(tmp_path / "errors.csv", newline="") as fh:
             err_rows = list(csv.reader(fh))
         assert len(err_rows) == 2
+
+    def test_two_workers_match_one(self, tmp_path):
+        cfg = ExperimentConfig(n=60, sf_m=[2], er_p=[0.1, 0.0], base_seed=2,
+                               got=GotConfig(epochs=10),
+                               kpath=KpathConfig(k=3))
+        serial = run_experiment(cfg, tmp_path / "one", workers=1)
+        pooled = run_experiment(cfg, tmp_path / "two", workers=2)
+        untimed = lambda r: replace(r, wall_ms=0.0, stage_wall_ms={})
+        for records, errors in (serial, pooled):
+            assert len(records) == 2 * 15
+            assert len(errors) == 1 and errors[0]["param"] == 0.0
+        assert pooled[1] == serial[1]
+        assert [untimed(r) for r in pooled[0]] == [untimed(r) for r in serial[0]]
 
     def test_csv_values_parse_back_exactly(self, tmp_path):
         cfg = ExperimentConfig(n=60, er_p=[0.1], base_seed=1,
