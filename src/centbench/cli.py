@@ -27,7 +27,7 @@ from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
 from .generators import GeneratorSpec
 from .got import GotConfig, run_got
-from .graph import largest_connected_component, read_edge_list, write_edge_list
+from .graph import format_edge_list, largest_connected_component, read_edge_list
 from .harness import CellError, ExperimentConfig, run_experiment
 from .kpath import KpathConfig, werw_kpath
 from .stats import correlate
@@ -40,6 +40,15 @@ MEASURES = {
 }
 
 
+def _emit(text: str, out) -> None:
+    """Write text to the file ``out``, or to stdout when ``out`` is None."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _write_scores(scores: np.ndarray, out, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps({"scores": [float(x) for x in scores]}, indent=2) + "\n"
@@ -47,11 +56,7 @@ def _write_scores(scores: np.ndarray, out, fmt: str) -> None:
         lines = [f"# {len(scores)} scores"]
         lines.extend(repr(float(x)) for x in scores)
         text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(text, out)
 
 
 def read_scores(path) -> np.ndarray:
@@ -79,39 +84,33 @@ def _add_graph_arg(p: argparse.ArgumentParser) -> None:
                    help="node count (default: max id + 1)")
 
 
+def _read_graph(args):
+    """The ``--graph`` file, reduced to its largest component with ``--lcc``."""
+    g = read_edge_list(args.graph, n=args.n)
+    return largest_connected_component(g)[0] if args.lcc else g
+
+
 def _cmd_gen(args) -> int:
     spec = GeneratorSpec(args.family.upper(), args.n, args.param,
                          args.aux_p, args.seed)
-    g = spec.generate()
-    if args.out is None:
-        sys.stdout.write(f"# nodes: {g.n} edges: {g.m}\n")
-        for u, v in g.edge_list():
-            sys.stdout.write(f"{u} {v}\n")
-    else:
-        write_edge_list(g, args.out)
+    _emit(format_edge_list(spec.generate()), args.out)
     return 0
 
 
 def _cmd_centrality(args) -> int:
-    g = read_edge_list(args.graph, n=args.n)
-    if args.lcc:
-        g, _ = largest_connected_component(g)
-    scores = MEASURES[args.measure](g)
+    scores = MEASURES[args.measure](_read_graph(args))
     _write_scores(scores, args.out, args.format)
     return 0
 
 
 def _cmd_got(args) -> int:
-    g = read_edge_list(args.graph, n=args.n)
-    if args.lcc:
-        g, _ = largest_connected_component(g)
     cfg = GotConfig(thieves_per_node=args.thieves_per_node,
                     vdiamonds_per_node=args.vdiamonds_per_node,
                     epochs=args.epochs,
                     log_base=args.epoch_log_base,
                     mean_convention=args.mean_convention,
                     seed=args.seed)
-    res = run_got(g, cfg, collect_trace=args.trace is not None)
+    res = run_got(_read_graph(args), cfg, collect_trace=args.trace is not None)
     _write_scores(res.phi, args.node_out, args.format)
     if args.edge_out is not None:
         _write_scores(res.psi, args.edge_out, args.format)
@@ -124,11 +123,8 @@ def _cmd_got(args) -> int:
 
 
 def _cmd_kpath(args) -> int:
-    g = read_edge_list(args.graph, n=args.n)
-    if args.lcc:
-        g, _ = largest_connected_component(g)
     cfg = KpathConfig(k=args.k, rho=args.rho, seed=args.seed)
-    scores = werw_kpath(g, cfg)
+    scores = werw_kpath(_read_graph(args), cfg)
     _write_scores(scores, args.out, args.format)
     return 0
 
@@ -148,11 +144,7 @@ def _cmd_correlate(args) -> int:
             v = payload[name]
             rows.append(f"{name},{'' if v is None else repr(v)}")
         text = "\n".join(rows) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(text, args.out)
     return 0
 
 

@@ -25,10 +25,14 @@ is the prefix sum minus the negative part of its running minimum; an
 attempt succeeds iff the stock just before it is positive. A trace record
 also counts the refused attempts, those that found the node empty.
 
+A thief's state is its position and its trail, the edge ids of its hops
+out from home. A walker appends the edge it takes; a loaded thief pops the
+last one and moves to that edge's other end, so no node path is stored.
+
 Score accumulation: with ``mean_convention="per-epoch"`` the sums over
 epochs 0..T (T+1 addends, where epoch 0 is the initial state) are divided
-by the epoch count T; ``"arithmetic"`` divides by T+1 instead. The epoch count defaults to
-ceil(log(n)^3) with a configurable logarithm base.
+by the epoch count T; ``"arithmetic"`` divides by T+1 instead. The epoch
+count defaults to ceil(log(n)^3) with a configurable logarithm base.
 """
 from __future__ import annotations
 
@@ -41,7 +45,8 @@ import numpy as np
 from .graph import Graph, is_connected
 from .rng import make_rng
 
-LOG_BASES = ("e", "2", "10")
+_LOGS = {"e": math.log, "2": math.log2, "10": math.log10}
+LOG_BASES = tuple(_LOGS)
 MEAN_CONVENTIONS = ("per-epoch", "arithmetic")
 
 
@@ -49,15 +54,9 @@ def default_epochs(n: int, log_base: str = "e") -> int:
     """Default epoch count ceil(log(n)^3) for the given logarithm base."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if log_base == "e":
-        x = math.log(n)
-    elif log_base == "2":
-        x = math.log2(n)
-    elif log_base == "10":
-        x = math.log10(n)
-    else:
+    if log_base not in _LOGS:
         raise ValueError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
-    return max(1, math.ceil(x ** 3))
+    return max(1, math.ceil(_LOGS[log_base](n) ** 3))
 
 
 @dataclass(frozen=True)
@@ -111,6 +110,10 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     Requires a connected graph with at least two nodes. Deterministic for a
     fixed (graph, config, seed); equal to iterating the sequential reference
     ``epoch_step`` of ``tests/reference.py`` with the same generator.
+
+    Thief state is the ``pos``, ``carrying`` and ``depth`` vectors and one
+    ``trail`` matrix, whose row t holds thief t's outbound edge ids in its
+    first ``depth[t]`` columns and which doubles in width as walkers need.
     """
     n, m = g.n, g.m
     if n < 2:
@@ -124,10 +127,8 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     home = np.repeat(np.arange(n, dtype=np.int64), tpn)
     counts = np.full(n, vd, dtype=np.int64)
     carrying = np.zeros(nt, dtype=bool)
-    cap = 16
-    stack = np.zeros((nt, cap), dtype=np.int64)
-    stack[:, 0] = home
-    estack = np.zeros((nt, cap), dtype=np.int64)
+    pos = home.copy()
+    trail = np.zeros((nt, 16), dtype=np.int64)
     depth = np.zeros(nt, dtype=np.int64)
 
     phi_sum = np.full(n, vd, dtype=np.int64)  # epoch-0 snapshot
@@ -136,59 +137,45 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
 
     tids = np.arange(nt, dtype=np.int64)
     indptr, adj, adj_eids, deg = g.indptr, g.adj, g.adj_eids, g.degrees
+    ends = g.edge_u + g.edge_v  # an edge's far end is ends[e] minus the near one
 
     for epoch in range(1, epochs + 1):
         walk_ids = tids[~carrying]
         carr_ids = tids[carrying]
         draws = rng.random(walk_ids.size)
 
-        # loaded thieves retrace one hop; some arrive home and deposit
-        dep_ids = dep_nodes = None
-        if carr_ids.size:
-            d0 = depth[carr_ids]
-            psi_sum += np.bincount(estack[carr_ids, d0 - 1], minlength=m)
-            depth[carr_ids] = d0 - 1
-            arrived = d0 == 1
-            if arrived.any():
-                dep_ids = carr_ids[arrived]
-                dep_nodes = home[dep_ids]
-                carrying[dep_ids] = False
+        # loaded thieves retrace one hop; those that arrive home deposit
+        d = depth[carr_ids] - 1
+        e = trail[carr_ids, d]
+        psi_sum += np.bincount(e, minlength=m)
+        pos[carr_ids] = ends[e] - pos[carr_ids]
+        depth[carr_ids] = d
+        dep_ids = carr_ids[d == 0]
+        dep_nodes = home[dep_ids]
+        carrying[dep_ids] = False
 
         # empty-handed thieves hop to a uniform random neighbor
-        att_ids = att_nodes = None
-        if walk_ids.size:
-            pos = stack[walk_ids, depth[walk_ids]]
-            slots = indptr[pos] + (draws * deg[pos]).astype(np.int64)
-            to = adj[slots]
-            newd = depth[walk_ids] + 1
-            if int(newd.max()) >= cap:
-                cap = max(cap * 2, int(newd.max()) + 1)
-                grown = np.zeros((nt, cap), dtype=np.int64)
-                grown[:, :stack.shape[1]] = stack
-                stack = grown
-                grown_e = np.zeros((nt, cap), dtype=np.int64)
-                grown_e[:, :estack.shape[1]] = estack
-                estack = grown_e
-            stack[walk_ids, newd] = to
-            estack[walk_ids, newd - 1] = adj_eids[slots]
-            depth[walk_ids] = newd
-            homeback = to == home[walk_ids]
-            if homeback.any():
-                depth[walk_ids[homeback]] = 0  # trail restarts at home
-            away = ~homeback
-            if away.any():
-                att_ids = walk_ids[away]
-                att_nodes = to[away]
+        at = pos[walk_ids]
+        slots = indptr[at] + (draws * deg[at]).astype(np.int64)
+        to = adj[slots]
+        d = depth[walk_ids]
+        if d.max(initial=0) >= trail.shape[1]:
+            trail = np.concatenate((trail, np.zeros_like(trail)), axis=1)
+        trail[walk_ids, d] = adj_eids[slots]
+        pos[walk_ids] = to
+        away = to != home[walk_ids]
+        depth[walk_ids] = np.where(away, d + 1, 0)  # trail restarts at home
+        att_ids = walk_ids[away]
+        att_nodes = to[away]
 
         _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids,
                          dep_nodes, n)
 
         phi_sum += counts
         if collect_trace:
-            refused = 0 if att_ids is None else int(
-                att_ids.size - np.count_nonzero(carrying[att_ids]))
+            refused = att_ids.size - np.count_nonzero(carrying[att_ids])
             trace.append(TraceRecord(epoch, int(counts.sum()),
-                                     int(carrying.sum()), refused))
+                                     int(carrying.sum()), int(refused)))
 
     denom = float(epochs if cfg.mean_convention == "per-epoch" else epochs + 1)
     return GotResult(phi=phi_sum / denom, psi=psi_sum / denom, trace=trace)
@@ -208,25 +195,16 @@ def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n
     unclamped walk S_j minus min(0, min_{i<=j} S_i), and an attempt
     succeeds iff the stock just before it, Y_{j-1}, is positive.
     """
-    if att_ids is None:
-        if dep_nodes is not None:
-            counts += np.bincount(dep_nodes, minlength=n)
-        return
     att_per_node = np.bincount(att_nodes, minlength=n)
     if not (counts[att_nodes] < att_per_node[att_nodes]).any():
-        counts -= att_per_node
-        if dep_nodes is not None:
-            counts += np.bincount(dep_nodes, minlength=n)
+        counts += np.bincount(dep_nodes, minlength=n) - att_per_node
         carrying[att_ids] = True
         return
 
     # scarce stock somewhere: one clamped walk per node over its events
-    nodes, tids = att_nodes, att_ids
-    step = np.full(att_ids.size, -1, dtype=np.int64)
-    if dep_nodes is not None:
-        nodes = np.concatenate((nodes, dep_nodes))
-        tids = np.concatenate((tids, dep_ids))
-        step = np.concatenate((step, np.ones(dep_ids.size, dtype=np.int64)))
+    nodes = np.concatenate((att_nodes, dep_nodes))
+    tids = np.concatenate((att_ids, dep_ids))
+    step = np.repeat(np.int64([-1, 1]), (att_ids.size, dep_ids.size))
     # a thief makes at most one event per epoch, so the keys are distinct
     order = np.argsort(nodes * carrying.size + tids)
     nodes, tids, step = nodes[order], tids[order], step[order]

@@ -217,9 +217,14 @@ def read_edge_list(path, n: int | None = None) -> Graph:
         return parse_edge_list(fh.read(), n=n)
 
 
+def format_edge_list(g: Graph) -> str:
+    """A graph in the edge-list text format: a header line, then one
+    ``u v`` line per edge in edge-id order."""
+    return f"# nodes: {g.n} edges: {g.m}\n" + "".join(
+        f"{u} {v}\n" for u, v in g.edge_list())
+
+
 def write_edge_list(g: Graph, path) -> None:
     """Write a graph in the edge-list text format (edge-id order)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# nodes: {g.n} edges: {g.m}\n")
-        for u, v in g.edge_list():
-            fh.write(f"{u} {v}\n")
+        fh.write(format_edge_list(g))

@@ -105,8 +105,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build from the JSON form; ValueError names any unknown or
-        missing key, and a config or section that is not a JSON object."""
+        missing key, a top-level value of the wrong type, and a config or
+        section that is not a JSON object."""
         d = _known_keys(cls, d, "")
+        for keys, ok, kind in _VALUE_TYPES:
+            for key in keys:
+                if key in d and not ok(d[key]):
+                    raise ValueError(f"config key {key} must be {kind}, "
+                                     f"got {d[key]!r}")
         for key, sub in (("got", GotConfig), ("kpath", KpathConfig)):
             if key in d:
                 d[key] = sub(**_known_keys(sub, d[key], key))
@@ -139,6 +145,26 @@ def _known_keys(cls, d: dict, section: str) -> dict:
         raise ValueError("missing config key(s): "
                          + ", ".join(prefix + k for k in missing))
     return dict(d)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the type each top-level value of a JSON config must have (JSON true/false
+# load as bool, a subclass of int, so the numeric checks exclude it)
+_VALUE_TYPES = (
+    (("n", "seeds_per_cell", "base_seed"), _is_int, "an integer"),
+    (("sf_m", "sw_k", "er_p"),
+     lambda v: isinstance(v, list) and all(map(_is_number, v)),
+     "a list of numbers"),
+    (("sf_triangle_p", "sw_shortcut_p"), _is_number, "a number"),
+    (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
+)
 
 
 def _generator_spec(family: str, n: int, param: float, seed: int,

@@ -22,6 +22,15 @@ class TestGen:
         assert g.m > 0
         assert int(g.degrees.sum()) == 2 * g.m
 
+    def test_gen_stdout_matches_out_file(self, tmp_path, capsys):
+        argv = ("gen", "--family", "sw", "--n", "30", "--param", "4",
+                "--aux-p", "0.5", "--seed", "3")
+        out = tmp_path / "g.edges"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
     def test_gen_sf(self, tmp_path):
         out = tmp_path / "sf.edges"
         run_cli("gen", "--family", "sf", "--n", "40", "--param", "3",
@@ -202,6 +211,14 @@ class TestErrors:
                        "--out-dir", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == \
             "centbench: error: unknown config key(s): sedes\n"
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 50, "sf_m": 5}))
+        assert run_cli("experiment", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == \
+            "centbench: error: config key sf_m must be a list of numbers, got 5\n"
 
     def test_cell_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

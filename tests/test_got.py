@@ -316,11 +316,8 @@ class TestResolvePickups:
             want_counts, want_carrying = counts.copy(), carrying.copy()
             naive_resolve(want_counts, want_carrying, att_ids, att_nodes,
                           dep_ids, dep_nodes)
-            _resolve_pickups(counts, carrying,
-                             att_ids if att_ids.size else None,
-                             att_nodes if att_ids.size else None,
-                             dep_ids if dep_ids.size else None,
-                             dep_nodes if dep_ids.size else None, n)
+            _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids,
+                             dep_nodes, n)
             assert counts.tolist() == want_counts.tolist(), trial
             assert carrying.tolist() == want_carrying.tolist(), trial
 

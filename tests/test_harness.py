@@ -90,6 +90,11 @@ class TestExperimentConfig:
          r"^config section kpath must be a JSON object, got int$"),
         ({"n": 50, "got": None},
          r"^config section got must be a JSON object, got NoneType$"),
+        ({"n": 50, "sf_m": 5}, r"^config key sf_m must be a list of numbers, got 5$"),
+        ({"n": "fifty", "sf_m": [2]},
+         r"^config key n must be an integer, got 'fifty'$"),
+        ({"n": 50, "sf_m": [2], "seeds_per_cell": "3"},
+         r"^config key seeds_per_cell must be an integer, got '3'$"),
     ])
     def test_from_dict_names_bad_keys(self, d, message):
         with pytest.raises(ValueError, match=message):

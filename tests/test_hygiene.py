@@ -2,7 +2,9 @@
 
 Every module under ``src/centbench`` uses each name it imports (the
 package ``__init__`` re-exports its imports, so it is exempt from that
-rule), and no module imports from the test suite or its references.
+rule), no module imports from the test suite or its references, and every
+module-level private function or class is used somewhere in the library
+outside its own definition (a use from the tests alone does not count).
 """
 import ast
 from pathlib import Path
@@ -41,3 +43,32 @@ def test_no_imports_from_tests(path):
     bad = sorted(module for _, module in imported_names(tree)
                  if module.split(".")[0] in TEST_ONLY)
     assert not bad, f"{path.name} imports test code: {bad}"
+
+
+def names_outside(node, skip):
+    """Every name, attribute or imported name used in ``node``, leaving
+    out the subtree ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from names_outside(child, skip)
+
+
+def test_no_dead_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and not any(node.name in names_outside(t, node)
+                                for t in trees.values())):
+                dead.append(f"{name}:{node.name}")
+    assert not dead, f"private helper(s) used nowhere in the library: {dead}"
