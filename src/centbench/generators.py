@@ -32,6 +32,12 @@ class GeneratorSpec:
     seed: int = 0
 
     def generate(self) -> Graph:
+        """The graph; ValueError on an unknown family or on an SF or SW
+        parameter that is not a whole number (``5.0`` is accepted)."""
+        if self.family in ("SF", "SW") and not float(self.param).is_integer():
+            name = "m" if self.family == "SF" else "k"
+            raise ValueError(f"{self.family} parameter {name} must be an "
+                             f"integer, got {self.param!r}")
         if self.family == "ER":
             return gen_erdos_renyi(self.n, float(self.param), self.seed)
         if self.family == "SW":

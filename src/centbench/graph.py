@@ -5,8 +5,9 @@ in ``0..m-1``, assigned in the order the edges were supplied, so seeded
 experiments produce identical edge ids run after run. Adjacency is stored in
 CSR form (``indptr`` / ``adj``) with each neighbor row sorted ascending, and
 ``adj_eids`` carries the edge id of each adjacency slot. ``bfs_levels`` is
-the one level-synchronous BFS, shared by the component search here and by
-betweenness and closeness.
+the one single-source level-synchronous BFS; it serves the component search
+here and Brandes betweenness. Closeness runs its own bit-parallel BFS over
+blocks of sources.
 
 Graphs are frozen after construction; every algorithm in the package treats
 them as read-only, which makes them safe to share across threads.
@@ -123,6 +124,9 @@ def bfs_levels(g: Graph, source: int, dist: np.ndarray):
     ``lev``): ``nbrs[i]`` is a neighbor of frontier node ``srcs[i]``, one
     entry per adjacency slot, and ``fresh`` the sorted nodes first reached
     from it, already at distance ``lev + 1``. The last ``fresh`` is empty.
+    ``fresh`` is deduplicated by a sort and an adjacent-difference mask, so
+    each frontier is in ascending id order and Brandes adds its terms in
+    the same order on every run.
     """
     dist[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
@@ -132,7 +136,10 @@ def bfs_levels(g: Graph, source: int, dist: np.ndarray):
         ends = np.cumsum(cnts)
         slots = np.repeat(g.indptr[frontier] - (ends - cnts), cnts) + np.arange(ends[-1])
         nbrs, srcs = g.adj[slots], np.repeat(frontier, cnts)
-        fresh = np.unique(nbrs[dist[nbrs] == -1])
+        fresh = np.sort(nbrs[dist[nbrs] == -1])
+        first = np.ones(fresh.size, dtype=bool)
+        first[1:] = fresh[1:] != fresh[:-1]
+        fresh = fresh[first]
         dist[fresh] = lev + 1
         yield lev, nbrs, srcs, fresh
         if fresh.size == 0:

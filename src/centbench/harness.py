@@ -105,17 +105,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build from the JSON form; ValueError names any unknown or
-        missing key, a top-level value of the wrong type, and a config or
-        section that is not a JSON object."""
-        d = _known_keys(cls, d, "")
-        for keys, ok, kind in _VALUE_TYPES:
-            for key in keys:
-                if key in d and not ok(d[key]):
-                    raise ValueError(f"config key {key} must be {kind}, "
-                                     f"got {d[key]!r}")
+        missing key, a value of the wrong type, and a config or section
+        that is not a JSON object."""
+        d = _checked(cls, d, "")
         for key, sub in (("got", GotConfig), ("kpath", KpathConfig)):
             if key in d:
-                d[key] = sub(**_known_keys(sub, d[key], key))
+                d[key] = sub(**_checked(sub, d[key], key))
         return cls(**d)
 
     @classmethod
@@ -127,9 +122,10 @@ class ExperimentConfig:
         _write_json(path, self.to_dict())
 
 
-def _known_keys(cls, d: dict, section: str) -> dict:
+def _checked(cls, d: dict, section: str) -> dict:
     """A copy of ``d``, checked to be an object holding every required field
-    of ``cls`` and no other key; ``section`` is "" for the top level."""
+    of ``cls``, no other key, and values of the types in ``_VALUE_TYPES``;
+    ``section`` is "" for the top level."""
     if not isinstance(d, dict):
         where = f"config section {section}" if section else "config"
         raise ValueError(f"{where} must be a JSON object, "
@@ -144,6 +140,11 @@ def _known_keys(cls, d: dict, section: str) -> dict:
     if missing:
         raise ValueError("missing config key(s): "
                          + ", ".join(prefix + k for k in missing))
+    for keys, ok, kind in _VALUE_TYPES[section]:
+        for key in keys:
+            if key in d and not ok(d[key]):
+                raise ValueError(f"config key {prefix}{key} must be {kind}, "
+                                 f"got {d[key]!r}")
     return dict(d)
 
 
@@ -155,16 +156,41 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# the type each top-level value of a JSON config must have (JSON true/false
-# load as bool, a subclass of int, so the numeric checks exclude it)
-_VALUE_TYPES = (
-    (("n", "seeds_per_cell", "base_seed"), _is_int, "an integer"),
-    (("sf_m", "sw_k", "er_p"),
-     lambda v: isinstance(v, list) and all(map(_is_number, v)),
-     "a list of numbers"),
-    (("sf_triangle_p", "sw_shortcut_p"), _is_number, "a number"),
-    (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
-)
+def _is_int_or_null(v) -> bool:
+    return v is None or _is_int(v)
+
+
+def _is_list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# the type each value of a JSON config must have, per section ("" is the
+# top level); JSON true/false load as bool, a subclass of int, so the
+# numeric checks exclude it. A key's checks run in order and the first
+# failing one is named.
+_VALUE_TYPES = {
+    "": (
+        (("n", "seeds_per_cell", "base_seed"), _is_int, "an integer"),
+        (("sf_m", "sw_k", "er_p"), _is_list_of(_is_number),
+         "a list of numbers"),
+        (("sf_m", "sw_k"),
+         _is_list_of(lambda v: _is_int(v) or float(v).is_integer()),
+         "a list of integers"),
+        (("sf_triangle_p", "sw_shortcut_p"), _is_number, "a number"),
+        (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
+    ),
+    "got": (
+        (("thieves_per_node", "seed"), _is_int, "an integer"),
+        (("vdiamonds_per_node", "epochs"), _is_int_or_null,
+         "an integer or null"),
+        (("log_base", "mean_convention"), lambda v: isinstance(v, str),
+         "a string"),
+    ),
+    "kpath": (
+        (("k", "seed"), _is_int, "an integer"),
+        (("rho",), _is_int_or_null, "an integer or null"),
+    ),
+}
 
 
 def _generator_spec(family: str, n: int, param: float, seed: int,

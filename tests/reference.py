@@ -12,6 +12,9 @@ thieves act one at a time in ascending id order with immediate stock
 updates, and ``run_got`` must equal iterating them, draw for draw.
 ``oracle_betweenness`` recomputes betweenness by all-pairs BFS path
 counting, independently of the Brandes accumulation it checks.
+``oracle_closeness`` is closeness one source at a time over
+``bfs_levels``, which the bit-parallel ``closeness_centrality`` must equal
+bit for bit, errors included.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from centbench import GotConfig, Graph, make_rng
+from centbench import DisconnectedGraphError, GotConfig, Graph, make_rng
+from centbench.graph import bfs_levels
 
 
 def werw_kpath_reference(g: Graph, k: int, rho: int, seed: int) -> np.ndarray:
@@ -284,3 +288,29 @@ def oracle_betweenness(g: Graph, max_n: int = 200) -> np.ndarray:
         frac[:, i] = 0.0
         bc[i] = np.triu(frac, 1).sum()
     return bc
+
+
+def oracle_closeness(g: Graph) -> np.ndarray:
+    """Closeness ``n / sum_j d_ij`` by one level-synchronous BFS per source.
+
+    Same contract as ``closeness_centrality``: ValueError if n < 2, and
+    DisconnectedGraphError naming the smallest node the first source
+    (node 0) cannot reach.
+    """
+    n = g.n
+    if n < 2:
+        raise ValueError(f"closeness needs n >= 2, got n={g.n}")
+    out = np.empty(n, dtype=np.float64)
+    for s in range(n):
+        dist = np.full(n, -1, dtype=np.int64)
+        total = 0
+        reached = 1
+        for lev, _, _, fresh in bfs_levels(g, s, dist):
+            total += (lev + 1) * int(fresh.size)
+            reached += int(fresh.size)
+        if reached < n:
+            missing = int(np.flatnonzero(dist == -1)[0])
+            raise DisconnectedGraphError(
+                f"node {missing} is unreachable from node {s}")
+        out[s] = n / total
+    return out

@@ -220,6 +220,30 @@ class TestErrors:
         assert capsys.readouterr().err == \
             "centbench: error: config key sf_m must be a list of numbers, got 5\n"
 
+    @pytest.mark.parametrize("section, message", [
+        ({"got": {"epochs": "5"}},
+         "config key got.epochs must be an integer or null, got '5'"),
+        ({"kpath": {"k": "3"}}, "config key kpath.k must be an integer, got '3'"),
+        ({"sf_m": [2.5]}, "config key sf_m must be a list of integers, got [2.5]"),
+    ])
+    def test_config_section_and_parameter_values(self, tmp_path, capsys,
+                                                 section, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 50, "sf_m": [2], **section}))
+        assert run_cli("experiment", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"centbench: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family, name", [("sf", "m"), ("sw", "k")])
+    def test_gen_fractional_parameter(self, capsys, family, name):
+        assert run_cli("gen", "--family", family, "--n", "30",
+                       "--param", "2.5", "--seed", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"centbench: error: {family.upper()} parameter "
+                                f"{name} must be an integer, got 2.5\n")
+
     def test_cell_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise CellError("family=ER n=60 param=0.1 seed=1: boom")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from centbench import (DisconnectedGraphError, GeneratorSpec,
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
                       star_graph)
-from reference import oracle_betweenness
+from reference import oracle_betweenness, oracle_closeness
 
 
 class TestDegree:
@@ -83,6 +85,47 @@ class TestCloseness:
     def test_single_node_errors(self):
         with pytest.raises(ValueError):
             closeness_centrality(build_graph([], 1))
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 256, 257, 300])
+    def test_equals_oracle_across_word_and_block_edges(self, n, np_rng):
+        # a random spanning tree plus about n random chords
+        tree = [(int(np_rng.integers(v)), v) for v in range(1, n)]
+        chords = {(min(a, b), max(a, b))
+                  for a, b in np_rng.integers(n, size=(n, 2)).tolist()
+                  if a != b}
+        g = build_graph(sorted(set(tree) | chords), n)
+        assert np.array_equal(closeness_centrality(g), oracle_closeness(g))
+
+    @pytest.mark.parametrize("g", [path_graph(70), star_graph(300),
+                                   complete_graph(66)],
+                             ids=["path", "star", "complete"])
+    def test_equals_oracle_on_shapes(self, g):
+        assert np.array_equal(closeness_centrality(g), oracle_closeness(g))
+
+    @pytest.mark.parametrize("edges, n, message", [
+        ([(0, 1), (1, 2)], 4, "node 3 is unreachable from node 0"),
+        ([(1, 2), (2, 3)], 4, "node 1 is unreachable from node 0"),
+        ([], 5, "node 1 is unreachable from node 0"),
+        ([(0, 2), (1, 3), (3, 4)], 5, "node 1 is unreachable from node 0"),
+    ], ids=["isolated-last", "isolated-first", "no-edges", "two-components"])
+    def test_disconnected_error_matches_oracle(self, edges, n, message):
+        g = build_graph(edges, n)
+        for fn in (oracle_closeness, closeness_centrality):
+            with pytest.raises(DisconnectedGraphError) as info:
+                fn(g)
+            assert str(info.value) == message
+
+    def test_memory_bounded_on_criterion6_graph(self):
+        # the bitsets of one 256-source block: the peak measured 7.2 MB,
+        # and a 1024-source block exceeds the bound
+        g = gen_holme_kim(10000, 5, 0.3, seed=606)
+        tracemalloc.start()
+        try:
+            closeness_centrality(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestClustering:

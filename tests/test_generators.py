@@ -125,3 +125,18 @@ class TestGeneratorSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             GeneratorSpec("XX", 10, 1, seed=1).generate()
+
+    @pytest.mark.parametrize("family, param, message", [
+        ("SF", 2.5, r"^SF parameter m must be an integer, got 2\.5$"),
+        ("SW", 4.5, r"^SW parameter k must be an integer, got 4\.5$"),
+        ("SF", math.inf, r"^SF parameter m must be an integer, got inf$"),
+    ])
+    def test_fractional_parameter_rejected(self, family, param, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(family, 30, param, 0.3, seed=1).generate()
+
+    @pytest.mark.parametrize("family, param", [("SF", 3), ("SW", 4)])
+    def test_integral_float_parameter_runs(self, family, param):
+        whole = GeneratorSpec(family, 30, param, 0.3, seed=1).generate()
+        as_float = GeneratorSpec(family, 30, float(param), 0.3, seed=1).generate()
+        assert as_float.edge_list() == whole.edge_list()

@@ -7,6 +7,7 @@ from centbench import (Graph, GraphError, build_graph, connected_components,
                        is_connected, largest_connected_component,
                        parse_edge_list, read_edge_list, write_edge_list)
 
+from centbench.graph import bfs_levels
 from conftest import cycle_graph, path_graph
 
 
@@ -113,6 +114,22 @@ class TestLargestConnectedComponent:
         assert sorted(mapping.keys()) == [5, 7, 9]
         assert sorted(mapping.values()) == [0, 1, 2]
         assert sub.m == 2
+
+
+def test_bfs_levels_fresh_sorted_and_unique():
+    # layers of 20 nodes, each joined to every node of the next, under
+    # shuffled ids: each fresh node is a candidate 19 or 20 times over
+    width, depth = 20, 6
+    layers = np.random.default_rng(7).permutation(width * depth).reshape(
+        depth, width).tolist()
+    g = build_graph([(a, b) for i in range(depth - 1)
+                     for a in layers[i] for b in layers[i + 1]], width * depth)
+    source = layers[0][0]
+    expected = [layers[1], layers[0][1:] + layers[2], *layers[3:], []]
+    dist = np.full(g.n, -1, dtype=np.int64)
+    levels = [fresh for *_, fresh in bfs_levels(g, source, dist)]
+    assert [f.tolist() for f in levels] == [sorted(e) for e in expected]
+    assert all(np.all(f[1:] > f[:-1]) for f in levels)
 
 
 def test_is_connected():

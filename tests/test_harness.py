@@ -95,10 +95,39 @@ class TestExperimentConfig:
          r"^config key n must be an integer, got 'fifty'$"),
         ({"n": 50, "sf_m": [2], "seeds_per_cell": "3"},
          r"^config key seeds_per_cell must be an integer, got '3'$"),
+        ({"n": 50, "sf_m": [2, 2.5]},
+         r"^config key sf_m must be a list of integers, got \[2, 2\.5\]$"),
+        ({"n": 50, "sw_k": [4.5]},
+         r"^config key sw_k must be a list of integers, got \[4\.5\]$"),
+        ({"n": 50, "got": {"epochs": "5"}},
+         r"^config key got\.epochs must be an integer or null, got '5'$"),
+        ({"n": 50, "got": {"thieves_per_node": 1.0}},
+         r"^config key got\.thieves_per_node must be an integer, got 1\.0$"),
+        ({"n": 50, "got": {"vdiamonds_per_node": True}},
+         r"^config key got\.vdiamonds_per_node must be an integer or null, "
+         r"got True$"),
+        ({"n": 50, "got": {"log_base": 10}},
+         r"^config key got\.log_base must be a string, got 10$"),
+        ({"n": 50, "kpath": {"k": "3"}},
+         r"^config key kpath\.k must be an integer, got '3'$"),
+        ({"n": 50, "kpath": {"rho": 2.0}},
+         r"^config key kpath\.rho must be an integer or null, got 2\.0$"),
+        ({"n": 50, "kpath": {"seed": None}},
+         r"^config key kpath\.seed must be an integer, got None$"),
     ])
     def test_from_dict_names_bad_keys(self, d, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(d)
+
+    def test_from_dict_accepts_nulls_and_whole_floats(self):
+        cfg = ExperimentConfig.from_dict(
+            {"n": 50, "sf_m": [5.0], "sw_k": [4],
+             "got": {"epochs": None, "vdiamonds_per_node": None,
+                     "log_base": "2", "seed": 3},
+             "kpath": {"k": 3, "rho": None}})
+        assert cfg.sf_m == [5.0]
+        assert cfg.got == GotConfig(log_base="2", seed=3)
+        assert cfg.kpath == KpathConfig(k=3)
 
 
 class TestRunExperiment:
