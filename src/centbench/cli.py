@@ -4,8 +4,11 @@ Subcommands mirror the library surface: ``gen`` emits an edge list,
 ``centrality`` scores one graph with one exact measure, ``got`` and
 ``kpath`` run the stochastic estimators, ``correlate`` compares two score
 files, and ``experiment`` runs a full matrix from a JSON config file.
-Invalid input, including a missing input file and a failed cell, exits
-with code 2 and one ``centbench: error: ...`` line on stderr.
+Invalid input, including a missing input file or a bad config, exits
+with code 2 and one ``centbench: error: ...`` line on stderr. A cell that
+fails inside ``experiment`` does not end the run: it is recorded in
+``errors.csv`` and ``report.json`` and printed as a ``failed:`` line on
+stdout, and the command exits 1 only when every cell failed, else 0.
 
 Score files are plain text: one score per line in id order (node id or
 edge id), ``#`` lines ignored. The optional ``got --trace`` output is

@@ -18,15 +18,19 @@ Conventions:
   O(m + sum_i d+_i^2) time and memory, where ``d+_i <= sqrt(2m)`` is the
   number of neighbours ranked above ``i``.
 
-Betweenness walks each source's BFS levels with ``graph.bfs_levels``,
-because Brandes needs each level's arcs for its path counts. Closeness
+Betweenness walks, per source, the shortest-path DAG that
+``graph.bfs_levels`` yields level by level: the forward pass counts paths
+along each level's arcs, and the backward pass walks the same arcs in
+reverse, so no arc is tested twice and no non-DAG arc is stored. Closeness
 needs only how many nodes each level reaches, so it does not walk
 ``bfs_levels`` per source: one level step serves a whole block of sources.
 
 Distances are unweighted hop counts. The tests check Brandes against
 ``oracle_betweenness`` in ``tests/reference.py``, which recomputes
-betweenness from scratch by all-pairs BFS path counting, and closeness
-against ``oracle_closeness``, one ``bfs_levels`` walk per source.
+betweenness from scratch by all-pairs BFS path counting, and bit for bit
+against ``level_mask_brandes``, which re-masks every level's arcs by
+distance in both passes. They check closeness against
+``oracle_closeness``, one deque BFS per source.
 """
 from __future__ import annotations
 
@@ -63,20 +67,15 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
         dist = np.full(n, -1, dtype=np.int64)
         sigma = np.zeros(n, dtype=np.float64)
         sigma[s] = 1.0
-        arcs = []  # (nbrs, srcs) of each level, reused by the backward pass
-        for lev, nbrs, srcs, _ in bfs_levels(g, s, dist):
-            advance = dist[nbrs] == lev + 1
-            sigma += np.bincount(nbrs[advance], weights=sigma[srcs[advance]],
-                                 minlength=n)
-            arcs.append((nbrs, srcs))
+        dag = []  # (tails, heads) of each level, walked back in reverse
+        for _, tails, heads, _ in bfs_levels(g, s, dist):
+            sigma += np.bincount(heads, weights=sigma[tails], minlength=n)
+            dag.append((tails, heads))
         delta = np.zeros(n, dtype=np.float64)
-        for lev in range(len(arcs) - 1, 0, -1):
-            nbrs, srcs = arcs[lev]
-            pred = dist[nbrs] == lev - 1
-            contrib = (sigma[nbrs[pred]] / sigma[srcs[pred]]
-                       * (1.0 + delta[srcs[pred]]))
-            delta += np.bincount(nbrs[pred], weights=contrib, minlength=n)
-        delta[s] = 0.0
+        # the source's own dependency is never used, so skip its level
+        for tails, heads in reversed(dag[1:]):
+            contrib = sigma[tails] / sigma[heads] * (1.0 + delta[heads])
+            delta += np.bincount(tails, weights=contrib, minlength=n)
         bc += delta
     # each unordered pair was accumulated from both endpoints
     return bc / 2.0

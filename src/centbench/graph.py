@@ -5,9 +5,10 @@ in ``0..m-1``, assigned in the order the edges were supplied, so seeded
 experiments produce identical edge ids run after run. Adjacency is stored in
 CSR form (``indptr`` / ``adj``) with each neighbor row sorted ascending, and
 ``adj_eids`` carries the edge id of each adjacency slot. ``bfs_levels`` is
-the one single-source level-synchronous BFS; it serves the component search
-here and Brandes betweenness. Closeness runs its own bit-parallel BFS over
-blocks of sources.
+the one single-source level-synchronous BFS; it yields the shortest-path
+DAG level by level, which Brandes betweenness walks, and the nodes each
+level reaches, which the component search reads. Closeness runs its own
+bit-parallel BFS over blocks of sources.
 
 Graphs are frozen after construction; every algorithm in the package treats
 them as read-only, which makes them safe to share across threads.
@@ -120,13 +121,14 @@ def bfs_levels(g: Graph, source: int, dist: np.ndarray):
     """Level-synchronous BFS from ``source``: the package's one frontier loop.
 
     ``dist`` must hold -1 at every unreached node and is filled in place.
-    Yields ``(lev, nbrs, srcs, fresh)`` per frontier (the nodes at distance
-    ``lev``): ``nbrs[i]`` is a neighbor of frontier node ``srcs[i]``, one
-    entry per adjacency slot, and ``fresh`` the sorted nodes first reached
-    from it, already at distance ``lev + 1``. The last ``fresh`` is empty.
-    ``fresh`` is deduplicated by a sort and an adjacent-difference mask, so
-    each frontier is in ascending id order and Brandes adds its terms in
-    the same order on every run.
+    Yields ``(lev, tails, heads, fresh)`` per frontier (the nodes at distance
+    ``lev``). ``tails[i] -> heads[i]`` are the arcs of the shortest-path DAG
+    out of the frontier: every adjacency slot of a frontier node whose head
+    was unreached, so the head is at distance ``lev + 1``. They come in
+    ascending (tail, head) order, since the frontier is sorted and each
+    adjacency row is. ``fresh`` is the sorted unique ``heads``, already at
+    distance ``lev + 1``; it is deduplicated by a sort and an
+    adjacent-difference mask. The last ``fresh`` is empty.
     """
     dist[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
@@ -135,13 +137,16 @@ def bfs_levels(g: Graph, source: int, dist: np.ndarray):
         cnts = g.degrees[frontier]
         ends = np.cumsum(cnts)
         slots = np.repeat(g.indptr[frontier] - (ends - cnts), cnts) + np.arange(ends[-1])
-        nbrs, srcs = g.adj[slots], np.repeat(frontier, cnts)
-        fresh = np.sort(nbrs[dist[nbrs] == -1])
+        nbrs = g.adj[slots]
+        advance = dist[nbrs] == -1
+        heads = nbrs[advance]
+        tails = np.repeat(frontier, cnts)[advance]
+        fresh = np.sort(heads)
         first = np.ones(fresh.size, dtype=bool)
         first[1:] = fresh[1:] != fresh[:-1]
         fresh = fresh[first]
         dist[fresh] = lev + 1
-        yield lev, nbrs, srcs, fresh
+        yield lev, tails, heads, fresh
         if fresh.size == 0:
             return
         frontier = fresh

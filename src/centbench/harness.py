@@ -171,6 +171,7 @@ def _is_list_of(ok):
 _VALUE_TYPES = {
     "": (
         (("n", "seeds_per_cell", "base_seed"), _is_int, "an integer"),
+        (("seeds_per_cell",), lambda v: v >= 1, "at least 1"),
         (("sf_m", "sw_k", "er_p"), _is_list_of(_is_number),
          "a list of numbers"),
         (("sf_m", "sw_k"),

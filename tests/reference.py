@@ -12,9 +12,12 @@ thieves act one at a time in ascending id order with immediate stock
 updates, and ``run_got`` must equal iterating them, draw for draw.
 ``oracle_betweenness`` recomputes betweenness by all-pairs BFS path
 counting, independently of the Brandes accumulation it checks.
-``oracle_closeness`` is closeness one source at a time over
-``bfs_levels``, which the bit-parallel ``closeness_centrality`` must equal
-bit for bit, errors included.
+``level_mask_brandes`` is Brandes as it was before it walked the
+shortest-path DAG: every level's arcs, masked by distance in both passes.
+``betweenness_centrality`` must equal it bit for bit, since both add each
+node's terms in the same order. ``oracle_closeness`` is closeness by one
+plain deque BFS per source, which the bit-parallel
+``closeness_centrality`` must equal bit for bit, errors included.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from fractions import Fraction
 import numpy as np
 
 from centbench import DisconnectedGraphError, GotConfig, Graph, make_rng
-from centbench.graph import bfs_levels
 
 
 def werw_kpath_reference(g: Graph, k: int, rho: int, seed: int) -> np.ndarray:
@@ -290,8 +292,58 @@ def oracle_betweenness(g: Graph, max_n: int = 200) -> np.ndarray:
     return bc
 
 
+def level_mask_brandes(g: Graph) -> np.ndarray:
+    """Brandes betweenness that re-masks each level's arcs by distance.
+
+    The forward pass keeps every arc of every level and counts paths along
+    those with ``dist[nbr] == lev + 1``; the backward pass masks the same
+    arcs again with ``dist[nbr] == lev - 1``. Each node adds its terms in
+    ascending neighbour order with the same expression as
+    ``betweenness_centrality``, which must equal it bit for bit. Its own
+    frontier loop keeps it independent of ``bfs_levels``.
+    """
+    n = g.n
+    bc = np.zeros(n, dtype=np.float64)
+    if n < 3 or g.m == 0:
+        return bc
+    for s in range(n):
+        if g.degrees[s] == 0:
+            continue
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[s] = 0
+        sigma = np.zeros(n, dtype=np.float64)
+        sigma[s] = 1.0
+        frontier = np.asarray([s], dtype=np.int64)
+        arcs = []
+        lev = 0
+        while frontier.size:
+            cnts = g.degrees[frontier]
+            ends = np.cumsum(cnts)
+            slots = (np.repeat(g.indptr[frontier] - (ends - cnts), cnts)
+                     + np.arange(ends[-1]))
+            nbrs, srcs = g.adj[slots], np.repeat(frontier, cnts)
+            fresh = np.unique(nbrs[dist[nbrs] == -1])
+            dist[fresh] = lev + 1
+            advance = dist[nbrs] == lev + 1
+            sigma += np.bincount(nbrs[advance], weights=sigma[srcs[advance]],
+                                 minlength=n)
+            arcs.append((nbrs, srcs))
+            frontier = fresh
+            lev += 1
+        delta = np.zeros(n, dtype=np.float64)
+        for lev in range(len(arcs) - 1, 0, -1):
+            nbrs, srcs = arcs[lev]
+            pred = dist[nbrs] == lev - 1
+            contrib = (sigma[nbrs[pred]] / sigma[srcs[pred]]
+                       * (1.0 + delta[srcs[pred]]))
+            delta += np.bincount(nbrs[pred], weights=contrib, minlength=n)
+        delta[s] = 0.0
+        bc += delta
+    return bc / 2.0
+
+
 def oracle_closeness(g: Graph) -> np.ndarray:
-    """Closeness ``n / sum_j d_ij`` by one level-synchronous BFS per source.
+    """Closeness ``n / sum_j d_ij`` by one plain deque BFS per source.
 
     Same contract as ``closeness_centrality``: ValueError if n < 2, and
     DisconnectedGraphError naming the smallest node the first source
@@ -300,17 +352,20 @@ def oracle_closeness(g: Graph) -> np.ndarray:
     n = g.n
     if n < 2:
         raise ValueError(f"closeness needs n >= 2, got n={g.n}")
+    rows = [g.neighbors(u).tolist() for u in range(n)]
     out = np.empty(n, dtype=np.float64)
     for s in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        total = 0
-        reached = 1
-        for lev, _, _, fresh in bfs_levels(g, s, dist):
-            total += (lev + 1) * int(fresh.size)
-            reached += int(fresh.size)
-        if reached < n:
-            missing = int(np.flatnonzero(dist == -1)[0])
+        dist = [-1] * n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in rows[v]:
+                if dist[w] == -1:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        if -1 in dist:
             raise DisconnectedGraphError(
-                f"node {missing} is unreachable from node {s}")
-        out[s] = n / total
+                f"node {dist.index(-1)} is unreachable from node {s}")
+        out[s] = n / sum(dist)
     return out

@@ -12,6 +12,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_config(tmp_path, cfg):
+    """Run ``experiment`` on a config dict; returns (exit code, out dir)."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "results"
+    return run_cli("experiment", "--config", str(cfg_path),
+                   "--out-dir", str(out_dir)), out_dir
+
+
 class TestGen:
     def test_gen_writes_edge_list(self, tmp_path):
         out = tmp_path / "g.edges"
@@ -151,14 +160,30 @@ class TestExperiment:
             "got": {"epochs": 10},
             "kpath": {"k": 3},
         }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out_dir = tmp_path / "results"
-        assert run_cli("experiment", "--config", str(cfg_path),
-                       "--out-dir", str(out_dir)) == 0
+        code, out_dir = run_config(tmp_path, cfg)
+        assert code == 0
         assert (out_dir / "report.csv").exists()
         assert (out_dir / "report.json").exists()
         assert "30 records" in capsys.readouterr().out
+
+    def test_every_cell_failed_exits_one(self, tmp_path, capsys):
+        code, out_dir = run_config(tmp_path, {"n": 50, "er_p": [1.5]})
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == f"0 records, 1 failed cells -> {out_dir}"
+        assert len(lines) == 2 and lines[1].startswith("  failed: ")
+        assert "edge probability must be in [0, 1], got 1.5" in lines[1]
+        assert (out_dir / "errors.csv").exists()
+
+    def test_some_cells_failed_exits_zero(self, tmp_path, capsys):
+        code, out_dir = run_config(tmp_path, {"n": 50, "er_p": [0.1, 1.5]})
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"15 records, 1 failed cells -> {out_dir}"
+        assert len(lines) == 2 and lines[1].startswith("  failed: ")
+        assert (out_dir / "errors.csv").exists()
 
 
 class TestErrors:
@@ -225,6 +250,10 @@ class TestErrors:
          "config key got.epochs must be an integer or null, got '5'"),
         ({"kpath": {"k": "3"}}, "config key kpath.k must be an integer, got '3'"),
         ({"sf_m": [2.5]}, "config key sf_m must be a list of integers, got [2.5]"),
+        ({"seeds_per_cell": 0},
+         "config key seeds_per_cell must be at least 1, got 0"),
+        ({"seeds_per_cell": -1},
+         "config key seeds_per_cell must be at least 1, got -1"),
     ])
     def test_config_section_and_parameter_values(self, tmp_path, capsys,
                                                  section, message):

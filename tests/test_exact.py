@@ -6,12 +6,13 @@ import pytest
 from centbench import (DisconnectedGraphError, GeneratorSpec,
                        betweenness_centrality, build_graph,
                        closeness_centrality, clustering_coefficient,
-                       degree_centrality, gen_holme_kim,
+                       degree_centrality, gen_holme_kim, is_connected,
                        largest_connected_component, triangle_counts)
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
                       star_graph)
-from reference import oracle_betweenness, oracle_closeness
+from reference import (level_mask_brandes, oracle_betweenness,
+                       oracle_closeness)
 
 
 class TestDegree:
@@ -52,6 +53,31 @@ class TestBetweenness:
         g = random_graph(50, 0.1, np_rng)
         assert np.allclose(betweenness_centrality(g), oracle_betweenness(g),
                            rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("g", [
+        path_graph(9), star_graph(7), complete_graph(8),
+        # isolated nodes 1, 4 and 7 around a component with a triangle
+        build_graph([(0, 2), (2, 3), (3, 5), (2, 5), (5, 6)], 8),
+    ], ids=["path", "star", "complete", "isolated_nodes"])
+    def test_bit_identical_to_level_mask_on_shapes(self, g):
+        assert np.array_equal(betweenness_centrality(g), level_mask_brandes(g))
+
+    def test_bit_identical_to_level_mask_on_random_graphs(self, np_rng):
+        # p log-uniform on [0.02, 0.5], so that sparse, disconnected graphs
+        # are drawn too
+        disconnected = 0
+        for _ in range(30):
+            n = int(np_rng.integers(10, 301))
+            p = float(np.exp(np_rng.uniform(np.log(0.02), np.log(0.5))))
+            g = random_graph(n, p, np_rng)
+            disconnected += not is_connected(g)
+            assert np.array_equal(betweenness_centrality(g),
+                                  level_mask_brandes(g)), (g.n, g.m)
+        assert disconnected >= 3
+
+    def test_bit_identical_to_level_mask_on_holme_kim(self):
+        g = gen_holme_kim(1000, 5, 0.3, seed=1)
+        assert np.array_equal(betweenness_centrality(g), level_mask_brandes(g))
 
 
 class TestOracleBetweenness:

@@ -132,6 +132,39 @@ def test_bfs_levels_fresh_sorted_and_unique():
     assert all(np.all(f[1:] > f[:-1]) for f in levels)
 
 
+def test_bfs_levels_yields_shortest_path_dag():
+    # the source, then layers of 15 under shuffled ids: random edges between
+    # adjacent layers give many equal-length paths, edges inside a layer
+    # are not in the DAG, and every node has a neighbour one layer up
+    rng = np.random.default_rng(11)
+    width, depth = 15, 6
+    ids = rng.permutation(1 + width * depth).tolist()
+    layers = [ids[:1]] + [ids[1 + i * width:1 + (i + 1) * width]
+                          for i in range(depth)]
+    edges = set()
+    for prev, layer in zip(layers, layers[1:]):
+        for b in layer:
+            edges.add((prev[int(rng.integers(len(prev)))], b))
+            edges.update((a, b) for a in prev if rng.random() < 0.4)
+            edges.update((b, c) for c in layer if b < c and rng.random() < 0.1)
+    g = build_graph(list({(min(e), max(e)) for e in edges}), len(ids))
+    dist = np.full(g.n, -1, dtype=np.int64)
+    levels = list(bfs_levels(g, layers[0][0], dist))
+    assert [sorted(f.tolist()) for *_, f in levels] == [
+        sorted(layer) for layer in layers[1:]] + [[]]
+    indeg = np.zeros(g.n, dtype=np.int64)
+    for lev, tails, heads, fresh in levels:
+        assert np.all(dist[tails] == lev)
+        assert np.all(dist[heads] == dist[tails] + 1)
+        keys = tails * g.n + heads
+        assert np.all(keys[1:] > keys[:-1])
+        assert np.array_equal(fresh, np.unique(heads))
+        indeg += np.bincount(heads, minlength=g.n)
+    up = [int(np.sum(dist[g.neighbors(v)] == dist[v] - 1)) for v in range(g.n)]
+    assert indeg.tolist() == up
+    assert max(up) > 3
+
+
 def test_is_connected():
     assert is_connected(path_graph(5))
     assert is_connected(build_graph([], 1))

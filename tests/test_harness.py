@@ -114,6 +114,10 @@ class TestExperimentConfig:
          r"^config key kpath\.rho must be an integer or null, got 2\.0$"),
         ({"n": 50, "kpath": {"seed": None}},
          r"^config key kpath\.seed must be an integer, got None$"),
+        ({"n": 50, "sf_m": [2], "seeds_per_cell": 0},
+         r"^config key seeds_per_cell must be at least 1, got 0$"),
+        ({"n": 50, "sf_m": [2], "seeds_per_cell": -1},
+         r"^config key seeds_per_cell must be at least 1, got -1$"),
     ])
     def test_from_dict_names_bad_keys(self, d, message):
         with pytest.raises(ValueError, match=message):
