@@ -60,6 +60,11 @@ def pearson(a, b) -> float:
     av, bv = _check_pair(a, b)
     da = av - av.mean()
     db = bv - bv.mean()
+    # the rounded mean can sit a sizeable fraction of the spread off centre
+    # when the spread is near the values' ulp; a second pass removes that
+    # offset from the (exactly computed) deviations
+    da = da - da.mean()
+    db = db - db.mean()
     # r is invariant under positive scaling; normalizing the deviations
     # keeps the variances away from under/overflow for extreme inputs
     da = da / np.abs(da).max()

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from centbench import (ConstantInputError, concordant_discordant, correlate,
@@ -16,6 +17,14 @@ def brute_force_counts(a, b):
     prod = np.sign(a[:, None] - a[None, :]) * np.sign(b[:, None] - b[None, :])
     upper = np.triu(prod, 1)
     return int((upper > 0).sum()), int((upper < 0).sum())
+
+
+def affine_image_is_faithful(a, scale, shift):
+    """True when the float image of x -> scale*x + shift lies within 1e-12
+    of its spread of the exact image, so it keeps r to about 1e-11."""
+    exact = [Fraction(scale) * Fraction(x) + Fraction(shift) for x in a]
+    err = max(abs(Fraction(scale * x + shift) - e) for x, e in zip(a, exact))
+    return err <= Fraction(1e-12) * (max(exact) - min(exact))
 
 
 def definition_ranks(a):
@@ -122,7 +131,13 @@ class TestSymmetryAndInvariance:
            .filter(lambda v: len({2.0 * x - 1.0 for x in v}) > 1),
            st.floats(0.01, 100), st.floats(-10, 10))
     @settings(max_examples=80, deadline=None)
+    # exact images, but with a spread near the ulp of the values: the
+    # deviations must be taken from the true centre, not the rounded mean
+    @example(a=[0.0, 0.0, 2.220446049250313e-16], scale=1.0, shift=1.0)
     def test_pearson_affine_invariance(self, a, scale, shift):
+        # the float map must stay affine (shift=2.0 rounds 2 + 2**-52 to 2)
+        assume(affine_image_is_faithful(a, scale, shift))
+        assume(affine_image_is_faithful(a, -scale, shift))
         b = [2.0 * x - 1.0 for x in a]
         base = pearson(a, b)
         assert pearson([scale * x + shift for x in a], b) == pytest.approx(
