@@ -68,7 +68,7 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
         sigma = np.zeros(n, dtype=np.float64)
         sigma[s] = 1.0
         dag = []  # (tails, heads) of each level, walked back in reverse
-        for _, tails, heads, _ in bfs_levels(g, s, dist):
+        for tails, heads, _ in bfs_levels(g, s, dist):
             sigma += np.bincount(heads, weights=sigma[tails], minlength=n)
             dag.append((tails, heads))
         delta = np.zeros(n, dtype=np.float64)

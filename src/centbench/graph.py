@@ -121,14 +121,15 @@ def bfs_levels(g: Graph, source: int, dist: np.ndarray):
     """Level-synchronous BFS from ``source``: the package's one frontier loop.
 
     ``dist`` must hold -1 at every unreached node and is filled in place.
-    Yields ``(lev, tails, heads, fresh)`` per frontier (the nodes at distance
-    ``lev``). ``tails[i] -> heads[i]`` are the arcs of the shortest-path DAG
-    out of the frontier: every adjacency slot of a frontier node whose head
-    was unreached, so the head is at distance ``lev + 1``. They come in
-    ascending (tail, head) order, since the frontier is sorted and each
-    adjacency row is. ``fresh`` is the sorted unique ``heads``, already at
-    distance ``lev + 1``; it is deduplicated by a sort and an
-    adjacent-difference mask. The last ``fresh`` is empty.
+    Yields ``(tails, heads, fresh)`` per frontier, the nodes at one distance
+    from ``source``, starting with the source itself. ``tails[i] -> heads[i]``
+    are the arcs of the shortest-path DAG out of the frontier: every
+    adjacency slot of a frontier node whose head was unreached, so the head
+    is one level further out. They come in ascending (tail, head) order,
+    since the frontier is sorted and each adjacency row is. ``fresh`` is the
+    sorted unique ``heads``, whose ``dist`` is already set; it is
+    deduplicated by a sort and an adjacent-difference mask. The last
+    ``fresh`` is empty.
     """
     dist[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
@@ -146,7 +147,7 @@ def bfs_levels(g: Graph, source: int, dist: np.ndarray):
         first[1:] = fresh[1:] != fresh[:-1]
         fresh = fresh[first]
         dist[fresh] = lev + 1
-        yield lev, tails, heads, fresh
+        yield tails, heads, fresh
         if fresh.size == 0:
             return
         frontier = fresh

@@ -153,7 +153,7 @@ def test_bfs_levels_yields_shortest_path_dag():
     assert [sorted(f.tolist()) for *_, f in levels] == [
         sorted(layer) for layer in layers[1:]] + [[]]
     indeg = np.zeros(g.n, dtype=np.int64)
-    for lev, tails, heads, fresh in levels:
+    for lev, (tails, heads, fresh) in enumerate(levels):
         assert np.all(dist[tails] == lev)
         assert np.all(dist[heads] == dist[tails] + 1)
         keys = tails * g.n + heads

@@ -19,12 +19,31 @@ def brute_force_counts(a, b):
     return int((upper > 0).sum()), int((upper < 0).sum())
 
 
-def affine_image_is_faithful(a, scale, shift):
-    """True when the float image of x -> scale*x + shift lies within 1e-12
-    of its spread of the exact image, so it keeps r to about 1e-11."""
-    exact = [Fraction(scale) * Fraction(x) + Fraction(shift) for x in a]
-    err = max(abs(Fraction(scale * x + shift) - e) for x, e in zip(a, exact))
-    return err <= Fraction(1e-12) * (max(exact) - min(exact))
+def exact_pearson(x, y):
+    """Pearson's r of float samples from exact rational sums, rounded once
+    at the end; None when either sample is constant."""
+    x = [Fraction(v) for v in x]
+    y = [Fraction(v) for v in y]
+    n, sx, sy = len(x), sum(x), sum(y)
+    sxx = n * sum(v * v for v in x) - sx * sx
+    syy = n * sum(v * v for v in y) - sy * sy
+    sxy = n * sum(u * v for u, v in zip(x, y)) - sx * sy
+    if sxx == 0 or syy == 0:
+        return None
+    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+
+def affine_image_keeps_r(a, scale, shift):
+    """True when the float images of x -> +-scale*x + shift, taken exactly,
+    have r against 2a - 1 within half the affine test's tolerance of the
+    r of ``a``. Only then can a faithful ``pearson`` pass that test."""
+    b = [2.0 * x - 1.0 for x in a]
+    r = exact_pearson(a, b)
+    for sign in (1.0, -1.0):
+        r_image = exact_pearson([sign * scale * x + shift for x in a], b)
+        if r_image is None or abs(r_image - sign * r) > 5e-10:
+            return False
+    return True
 
 
 def definition_ranks(a):
@@ -136,14 +155,22 @@ class TestSymmetryAndInvariance:
     @example(a=[0.0, 0.0, 2.220446049250313e-16], scale=1.0, shift=1.0)
     def test_pearson_affine_invariance(self, a, scale, shift):
         # the float map must stay affine (shift=2.0 rounds 2 + 2**-52 to 2)
-        assume(affine_image_is_faithful(a, scale, shift))
-        assume(affine_image_is_faithful(a, -scale, shift))
+        assume(affine_image_keeps_r(a, scale, shift))
         b = [2.0 * x - 1.0 for x in a]
         base = pearson(a, b)
         assert pearson([scale * x + shift for x in a], b) == pytest.approx(
             base, abs=1e-9)
         assert pearson([-scale * x + shift for x in a], b) == pytest.approx(
             -base, abs=1e-9)
+
+    def test_affine_guard_skips_only_images_that_lose_r(self):
+        tiny = 2.220446049250313e-16
+        # the explicit example above: exact images, so it is checked
+        assert affine_image_keeps_r([0.0, 0.0, tiny], 1.0, 1.0)
+        # small spread, rounding moves r by about 1e-11
+        assert affine_image_keeps_r([0.0, 0.0, 1e-5], 1.0, 1.0)
+        # 2 + tiny rounds to 2: the image is constant
+        assert not affine_image_keeps_r([0.0, 0.0, tiny], 1.0, 2.0)
 
     @given(st.lists(st.floats(-20, 20), min_size=3, max_size=40)
            .filter(lambda v: len(set(v)) > 1)
