@@ -31,7 +31,7 @@ from .exact import (betweenness_centrality, closeness_centrality,
 from .generators import GeneratorSpec
 from .got import GotConfig, run_got
 from .graph import format_edge_list, largest_connected_component, read_edge_list
-from .harness import CellError, ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, run_experiment
 from .kpath import KpathConfig, werw_kpath
 from .stats import correlate
 
@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # GraphError is a ValueError; OSError covers a missing or unreadable file
-    except (OSError, ValueError, CellError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"centbench: error: {exc}\n")
         return 2
 

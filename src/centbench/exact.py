@@ -18,12 +18,13 @@ Conventions:
   O(m + sum_i d+_i^2) time and memory, where ``d+_i <= sqrt(2m)`` is the
   number of neighbours ranked above ``i``.
 
-Betweenness walks, per source, the shortest-path DAG that
-``graph.bfs_levels`` yields level by level: the forward pass counts paths
-along each level's arcs, and the backward pass walks the same arcs in
-reverse, so no arc is tested twice and no non-DAG arc is stored. Closeness
-needs only how many nodes each level reaches, so it does not walk
-``bfs_levels`` per source: one level step serves a whole block of sources.
+One bit-parallel level step (``_bit_levels``) runs the BFS of a whole
+block of sources at once and serves both distance measures. Closeness sums
+the nodes each level reaches. Betweenness writes the levels into a
+distance row per source, masks that source's shortest-path DAG out of the
+adjacency slots in one step, and walks the DAG level by level: the forward
+pass counts paths along each level's arcs, and the backward pass walks the
+same arcs in reverse.
 
 Distances are unweighted hop counts. The tests check Brandes against
 ``oracle_betweenness`` in ``tests/reference.py``, which recomputes
@@ -39,7 +40,7 @@ import numpy as np
 from .graph import Graph, bfs_levels
 
 
-# sources per bit-parallel closeness BFS, a multiple of 64; the bitsets are
+# sources per bit-parallel BFS, a multiple of 64; the bitsets are
 # little-endian words so that their bytes unpack in source order
 _BLOCK = 256
 _WORD = np.dtype("<u8")
@@ -55,28 +56,84 @@ def degree_centrality(g: Graph) -> np.ndarray:
     return g.degrees / (g.n - 1)
 
 
+def _bit_levels(g: Graph, sources: np.ndarray):
+    """Bit-parallel BFS from a block of at most ``_BLOCK`` sources.
+
+    One BFS serves the whole block (Then et al., "The More the Merrier",
+    VLDB 2014). Every node holds one bit per source of the block, for the
+    frontier and for the visited set; a level step ORs each node's
+    neighbour rows, and the bits not yet visited are the ones that level
+    sets. Yields ``(lev, bits)`` for ``lev = 1, 2, ...``: ``bits`` is an
+    ``(n, _BLOCK)`` uint8 array, 1 where source ``sources[j]`` first
+    reaches node ``v`` at distance ``lev``. Stops after the last level that
+    reaches a node.
+
+    The step reduces over the rows of nodes with a neighbour only:
+    ``reduceat`` gives an empty segment its start element, not 0, so an
+    isolated node would take its successor's row.
+    """
+    live = np.flatnonzero(g.degrees)
+    starts = g.indptr[live]
+    cols = np.arange(sources.size, dtype=np.uint64)
+    visited = np.zeros((g.n, _BLOCK // 64), dtype=_WORD)
+    visited[sources, cols // 64] = np.uint64(1) << cols % 64
+    front = visited.copy()
+    lev = 1
+    while True:
+        new = np.zeros_like(visited)
+        new[live] = np.bitwise_or.reduceat(front[g.adj], starts, axis=0)
+        new &= ~visited
+        if not new.any():
+            return
+        visited |= new
+        yield lev, np.unpackbits(new.view(np.uint8), axis=1, bitorder="little")
+        front = new
+        lev += 1
+
+
 def betweenness_centrality(g: Graph) -> np.ndarray:
     """Unnormalized betweenness over unordered pairs, endpoints excluded."""
     n = g.n
     bc = np.zeros(n, dtype=np.float64)
     if n < 3 or g.m == 0:
         return bc
-    for s in range(n):
-        if g.degrees[s] == 0:
-            continue
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n, dtype=np.float64)
-        sigma[s] = 1.0
-        dag = []  # (tails, heads) of each level, walked back in reverse
-        for tails, heads, _ in bfs_levels(g, s, dist):
-            sigma += np.bincount(heads, weights=sigma[tails], minlength=n)
-            dag.append((tails, heads))
-        delta = np.zeros(n, dtype=np.float64)
-        # the source's own dependency is never used, so skip its level
-        for tails, heads in reversed(dag[1:]):
-            contrib = sigma[tails] / sigma[heads] * (1.0 + delta[heads])
-            delta += np.bincount(tails, weights=contrib, minlength=n)
-        bc += delta
+    rows = np.repeat(np.arange(n), g.degrees)  # the tail of each adjacency slot
+    # the narrowest type that holds every distance: the stable sort of
+    # int16 level keys is a radix sort
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    for b0 in range(0, n, _BLOCK):
+        sources = np.arange(b0, min(b0 + _BLOCK, n))
+        dist = np.full((_BLOCK, n), -1, dtype=dtype)
+        dist[np.arange(sources.size), sources] = 0
+        for lev, bits in _bit_levels(g, sources):
+            np.putmask(dist, bits.T, lev)
+        for s, d in zip(sources.tolist(), dist):
+            if g.degrees[s] == 0:
+                continue
+            # the DAG arcs, one level above their tail; an unreachable tail
+            # has only unreachable heads, at -1, so it yields no arc. The
+            # stable sort by level keeps each level's arcs in ascending
+            # (tail, head) slot order.
+            dt = d[rows]
+            arc = np.flatnonzero(d[g.adj] == dt + 1)
+            lv = dt[arc]
+            order = np.argsort(lv, kind="stable")
+            tails, heads = rows[arc[order]], g.adj[arc[order]]
+            sigma = np.zeros(n, dtype=np.float64)
+            sigma[s] = 1.0
+            dag = []  # (tails, heads) of each level, walked back in reverse
+            lo = 0
+            for hi in np.cumsum(np.bincount(lv)).tolist():
+                t, h = tails[lo:hi], heads[lo:hi]
+                sigma += np.bincount(h, weights=sigma[t], minlength=n)
+                dag.append((t, h))
+                lo = hi
+            delta = np.zeros(n, dtype=np.float64)
+            # the source's own dependency is never used, so skip its level
+            for t, h in reversed(dag[1:]):
+                contrib = sigma[t] / sigma[h] * (1.0 + delta[h])
+                delta += np.bincount(t, weights=contrib, minlength=n)
+            bc += delta
     # each unordered pair was accumulated from both endpoints
     return bc / 2.0
 
@@ -84,12 +141,9 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
 def closeness_centrality(g: Graph) -> np.ndarray:
     """Closeness ``n / sum_j d_ij`` on a connected graph.
 
-    One bit-parallel BFS serves each block of ``_BLOCK`` sources (Then et
-    al., "The More the Merrier", VLDB 2014). Every node holds one bit per
-    source of the block, for the frontier and for the visited set; a level
-    step ORs each node's neighbour rows, and the bits newly set count the
-    nodes each source reaches at that level. The distance sums are exact
-    integers, ``sum_lev lev * count``.
+    ``_bit_levels`` runs one BFS per block of ``_BLOCK`` sources, and the
+    bits each level sets count the nodes each source reaches at that level.
+    The distance sums are exact integers, ``sum_lev lev * count``.
 
     Raises:
         DisconnectedGraphError: naming the smallest node that node 0 cannot
@@ -99,8 +153,6 @@ def closeness_centrality(g: Graph) -> np.ndarray:
     n = g.n
     if n < 2:
         raise ValueError(f"closeness needs n >= 2, got n={g.n}")
-    # one BFS from node 0 checks connectivity, so every node has a
-    # neighbour and no reduceat segment below is empty
     dist = np.full(n, -1, dtype=np.int64)
     for _ in bfs_levels(g, 0, dist):
         pass
@@ -109,25 +161,12 @@ def closeness_centrality(g: Graph) -> np.ndarray:
         raise DisconnectedGraphError(
             f"node {missing} is unreachable from node 0")
     out = np.empty(n, dtype=np.float64)
-    starts = g.indptr[:-1]
     for b0 in range(0, n, _BLOCK):
-        cols = np.arange(min(_BLOCK, n - b0), dtype=np.uint64)
-        visited = np.zeros((n, _BLOCK // 64), dtype=_WORD)
-        visited[b0 + cols, cols // 64] = np.uint64(1) << cols % 64
-        front = visited.copy()
+        sources = np.arange(b0, min(b0 + _BLOCK, n))
         total = np.zeros(_BLOCK, dtype=np.int64)
-        lev = 1
-        while True:
-            new = np.bitwise_or.reduceat(front[g.adj], starts, axis=0)
-            new &= ~visited
-            if not new.any():
-                break
-            visited |= new
-            bits = np.unpackbits(new.view(np.uint8), axis=1, bitorder="little")
+        for lev, bits in _bit_levels(g, sources):
             total += lev * bits.sum(axis=0, dtype=np.int64)
-            front = new
-            lev += 1
-        out[b0:b0 + cols.size] = n / total[:cols.size]
+        out[b0:b0 + sources.size] = n / total[:sources.size]
     return out
 
 

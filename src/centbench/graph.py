@@ -5,10 +5,10 @@ in ``0..m-1``, assigned in the order the edges were supplied, so seeded
 experiments produce identical edge ids run after run. Adjacency is stored in
 CSR form (``indptr`` / ``adj``) with each neighbor row sorted ascending, and
 ``adj_eids`` carries the edge id of each adjacency slot. ``bfs_levels`` is
-the one single-source level-synchronous BFS; it yields the shortest-path
-DAG level by level, which Brandes betweenness walks, and the nodes each
-level reaches, which the component search reads. Closeness runs its own
-bit-parallel BFS over blocks of sources.
+the one single-source level-synchronous BFS; it yields the nodes each level
+reaches, which the component search and the closeness connectivity check
+read. Betweenness and closeness share a bit-parallel BFS over blocks of
+sources in ``exact``.
 
 Graphs are frozen after construction; every algorithm in the package treats
 them as read-only, which makes them safe to share across threads.
@@ -121,15 +121,10 @@ def bfs_levels(g: Graph, source: int, dist: np.ndarray):
     """Level-synchronous BFS from ``source``: the package's one frontier loop.
 
     ``dist`` must hold -1 at every unreached node and is filled in place.
-    Yields ``(tails, heads, fresh)`` per frontier, the nodes at one distance
-    from ``source``, starting with the source itself. ``tails[i] -> heads[i]``
-    are the arcs of the shortest-path DAG out of the frontier: every
-    adjacency slot of a frontier node whose head was unreached, so the head
-    is one level further out. They come in ascending (tail, head) order,
-    since the frontier is sorted and each adjacency row is. ``fresh`` is the
-    sorted unique ``heads``, whose ``dist`` is already set; it is
-    deduplicated by a sort and an adjacent-difference mask. The last
-    ``fresh`` is empty.
+    Yields ``fresh`` per level, the sorted nodes one step further out than
+    the last: first the source's neighbours, and last an empty array.
+    ``fresh`` is deduplicated by a sort and an adjacent-difference mask,
+    and its ``dist`` is already set when it is yielded.
     """
     dist[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
@@ -139,15 +134,12 @@ def bfs_levels(g: Graph, source: int, dist: np.ndarray):
         ends = np.cumsum(cnts)
         slots = np.repeat(g.indptr[frontier] - (ends - cnts), cnts) + np.arange(ends[-1])
         nbrs = g.adj[slots]
-        advance = dist[nbrs] == -1
-        heads = nbrs[advance]
-        tails = np.repeat(frontier, cnts)[advance]
-        fresh = np.sort(heads)
+        fresh = np.sort(nbrs[dist[nbrs] == -1])
         first = np.ones(fresh.size, dtype=bool)
         first[1:] = fresh[1:] != fresh[:-1]
         fresh = fresh[first]
         dist[fresh] = lev + 1
-        yield tails, heads, fresh
+        yield fresh
         if fresh.size == 0:
             return
         frontier = fresh
@@ -160,7 +152,7 @@ def connected_components(g: Graph) -> list[np.ndarray]:
     comps = []
     for s in range(g.n):
         if dist[s] == -1:
-            levels = [fresh for *_, fresh in bfs_levels(g, s, dist)]
+            levels = list(bfs_levels(g, s, dist))
             comps.append(np.sort(np.concatenate([[s], *levels])))
     return comps
 

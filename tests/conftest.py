@@ -27,6 +27,28 @@ def random_graph(n, p, rng):
     return build_graph(edges, n)
 
 
+def layered_graph():
+    """The source, then 6 layers of 15 under shuffled ids, and its layers.
+
+    Random edges between adjacent layers give many equal-length paths,
+    edges inside a layer lie on none, and every node has a neighbour one
+    layer up, so layer i is exactly the nodes at distance i from the source.
+    """
+    rng = np.random.default_rng(11)
+    width, depth = 15, 6
+    ids = rng.permutation(1 + width * depth).tolist()
+    layers = [ids[:1]] + [ids[1 + i * width:1 + (i + 1) * width]
+                          for i in range(depth)]
+    edges = set()
+    for prev, layer in zip(layers, layers[1:]):
+        for b in layer:
+            edges.add((prev[int(rng.integers(len(prev)))], b))
+            edges.update((a, b) for a in prev if rng.random() < 0.4)
+            edges.update((b, c) for c in layer if b < c and rng.random() < 0.1)
+    g = build_graph(list({(min(e), max(e)) for e in edges}), len(ids))
+    return g, layers
+
+
 def random_connected_graph(n, p, rng, max_tries=200):
     from centbench import is_connected
     for _ in range(max_tries):

@@ -300,7 +300,7 @@ def level_mask_brandes(g: Graph) -> np.ndarray:
     arcs again with ``dist[nbr] == lev - 1``. Each node adds its terms in
     ascending neighbour order with the same expression as
     ``betweenness_centrality``, which must equal it bit for bit. Its own
-    frontier loop keeps it independent of ``bfs_levels``.
+    frontier loop keeps it independent of the package's BFS.
     """
     n = g.n
     bc = np.zeros(n, dtype=np.float64)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from centbench import CellError, GotConfig, KpathConfig, read_edge_list
+from centbench import GotConfig, KpathConfig, read_edge_list
 from centbench.cli import main, read_scores
 
 
@@ -272,17 +272,6 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == (f"centbench: error: {family.upper()} parameter "
                                 f"{name} must be an integer, got 2.5\n")
-
-    def test_cell_error(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise CellError("family=ER n=60 param=0.1 seed=1: boom")
-        monkeypatch.setattr("centbench.cli.run_experiment", fail)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"n": 60, "er_p": [0.1]}))
-        assert run_cli("experiment", "--config", str(cfg_path),
-                       "--out-dir", str(tmp_path / "out")) == 2
-        err = capsys.readouterr().err
-        assert err == "centbench: error: family=ER n=60 param=0.1 seed=1: boom\n"
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, value):
