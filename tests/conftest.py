@@ -31,8 +31,9 @@ def layered_graph():
     """The source, then 6 layers of 15 under shuffled ids, and its layers.
 
     Random edges between adjacent layers give many equal-length paths,
-    edges inside a layer lie on none, and every node has a neighbour one
-    layer up, so layer i is exactly the nodes at distance i from the source.
+    edges inside a layer lie on no shortest path from the source, and every
+    node has a neighbour one layer up, so layer i is exactly the nodes at
+    distance i from the source.
     """
     rng = np.random.default_rng(11)
     width, depth = 15, 6
