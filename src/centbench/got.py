@@ -17,17 +17,22 @@ version lives with the tests (``tests/reference.py``) as their reference.
 
 The kernel moves every thief at once, then resolves the epoch's pickups
 node by node, since a node's outcome depends only on its own start stock
-and the id order of the deposits and attempts it sees. When every node's
-stock covers its attempts, all succeed. Otherwise one vectorized pass
-sorts the events by (node, thief id) and treats each node's stock as a
-walk clamped at zero (-1 per attempt, +1 per deposit), whose closed form
-is the prefix sum minus the negative part of its running minimum; an
-attempt succeeds iff the stock just before it is positive. A trace record
-also counts the refused attempts, those that found the node empty.
+and the id order of the deposits and attempts it sees. At a node whose
+stock covers its attempts, all of them succeed in any order, so counts
+settle it. Only the contended nodes, whose stock is below their attempts,
+need the order: one vectorized pass sorts their events by (node, thief
+id) and treats each node's stock as a walk clamped at zero (-1 per
+attempt, +1 per deposit), whose closed form is the prefix sum minus the
+negative part of its running minimum; an attempt succeeds iff the stock
+just before it is positive. At the default stock, even an epoch with
+contention has few contended nodes, so that sort stays small. A trace
+record also counts the refused attempts, those that found the node empty.
 
 A thief's state is its position and its trail, the edge ids of its hops
 out from home. A walker appends the edge it takes; a loaded thief pops the
 last one and moves to that edge's other end, so no node path is stored.
+All trails share one flat array, thief t's hop i at ``t * width + i``, and
+the width doubles when a walker outgrows it.
 
 Score accumulation: with ``mean_convention="per-epoch"`` the sums over
 epochs 0..T (T+1 addends, where epoch 0 is the initial state) are divided
@@ -112,8 +117,9 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     ``epoch_step`` of ``tests/reference.py`` with the same generator.
 
     Thief state is the ``pos``, ``carrying`` and ``depth`` vectors and one
-    ``trail`` matrix, whose row t holds thief t's outbound edge ids in its
-    first ``depth[t]`` columns and which doubles in width as walkers need.
+    flat ``trail`` array, which holds thief t's outbound edge ids at
+    ``t * width`` to ``t * width + depth[t] - 1``; ``width`` doubles, and the
+    trails are laid out again, when a walker needs more.
     """
     n, m = g.n, g.m
     if n < 2:
@@ -128,26 +134,26 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     counts = np.full(n, vd, dtype=np.int64)
     carrying = np.zeros(nt, dtype=bool)
     pos = home.copy()
-    trail = np.zeros((nt, 16), dtype=np.int64)
+    width = 16
+    trail = np.zeros(nt * width, dtype=np.int64)
     depth = np.zeros(nt, dtype=np.int64)
 
     phi_sum = np.full(n, vd, dtype=np.int64)  # epoch-0 snapshot
     psi_sum = np.zeros(m, dtype=np.int64)
     trace = [TraceRecord(0, n * vd, 0, 0)] if collect_trace else None
 
-    tids = np.arange(nt, dtype=np.int64)
     indptr, adj, adj_eids, deg = g.indptr, g.adj, g.adj_eids, g.degrees
     ends = g.edge_u + g.edge_v  # an edge's far end is ends[e] minus the near one
 
     for epoch in range(1, epochs + 1):
-        walk_ids = tids[~carrying]
-        carr_ids = tids[carrying]
+        walk_ids = np.flatnonzero(~carrying)
+        carr_ids = np.flatnonzero(carrying)
         draws = rng.random(walk_ids.size)
 
         # loaded thieves retrace one hop; those that arrive home deposit
         d = depth[carr_ids] - 1
-        e = trail[carr_ids, d]
-        psi_sum += np.bincount(e, minlength=m)
+        e = trail[carr_ids * width + d]
+        np.add.at(psi_sum, e, 1)
         pos[carr_ids] = ends[e] - pos[carr_ids]
         depth[carr_ids] = d
         dep_ids = carr_ids[d == 0]
@@ -159,9 +165,11 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
         slots = indptr[at] + (draws * deg[at]).astype(np.int64)
         to = adj[slots]
         d = depth[walk_ids]
-        if d.max(initial=0) >= trail.shape[1]:
-            trail = np.concatenate((trail, np.zeros_like(trail)), axis=1)
-        trail[walk_ids, d] = adj_eids[slots]
+        if d.max(initial=0) >= width:
+            grown = np.zeros((nt, 2 * width), dtype=np.int64)
+            grown[:, :width] = trail.reshape(nt, width)
+            trail, width = grown.ravel(), 2 * width
+        trail[walk_ids * width + d] = adj_eids[slots]
         pos[walk_ids] = to
         away = to != home[walk_ids]
         depth[walk_ids] = np.where(away, d + 1, 0)  # trail restarts at home
@@ -187,24 +195,35 @@ def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n
     An attempt succeeds when the node still holds a vdiamond at the moment
     the attempting thief acts. Per node this depends only on the start-of-
     epoch stock and the id-interleaving of that node's deposits and
-    attempts, so nodes resolve independently. The common case (stock covers
-    all attempts everywhere) needs no sorting at all. Otherwise every event
-    is resolved in one exact pass: sorted by (node, thief id), a node's
-    stock is a walk clamped at zero, Y_j = max(0, Y_{j-1} + step_j), with
-    step -1 for an attempt and +1 for a deposit. Its closed form is the
-    unclamped walk S_j minus min(0, min_{i<=j} S_i), and an attempt
-    succeeds iff the stock just before it, Y_{j-1}, is positive.
+    attempts, so nodes resolve independently. Where the start stock covers
+    a node's attempts, every attempt succeeds whatever the order, and the
+    node's stock changes by its deposits minus its attempts; that is the
+    whole epoch when no node is contended. The contended nodes' events are
+    resolved in one exact pass: sorted by (node, thief id), a node's stock
+    is a walk clamped at zero, Y_j = max(0, Y_{j-1} + step_j), with step -1
+    for an attempt and +1 for a deposit. Its closed form is the unclamped
+    walk S_j minus min(0, min_{i<=j} S_i), and an attempt succeeds iff the
+    stock just before it, Y_{j-1}, is positive.
     """
     att_per_node = np.bincount(att_nodes, minlength=n)
-    if not (counts[att_nodes] < att_per_node[att_nodes]).any():
+    short = counts < att_per_node
+    if not short.any():
         counts += np.bincount(dep_nodes, minlength=n) - att_per_node
         carrying[att_ids] = True
         return
 
-    # scarce stock somewhere: one clamped walk per node over its events
+    # where stock covers the attempts, all of them succeed in any order
     nodes = np.concatenate((att_nodes, dep_nodes))
-    tids = np.concatenate((att_ids, dep_ids))
-    step = np.repeat(np.int64([-1, 1]), (att_ids.size, dep_ids.size))
+    hot = short[nodes]
+    carrying[att_ids[~hot[:att_ids.size]]] = True
+    counts += np.where(short, 0, np.bincount(dep_nodes, minlength=n)
+                       - att_per_node)
+
+    # contended nodes: one clamped walk per node over its events
+    keep = np.flatnonzero(hot)
+    nodes = nodes[keep]
+    tids = np.concatenate((att_ids, dep_ids))[keep]
+    step = np.where(keep < att_ids.size, -1, 1)
     # a thief makes at most one event per epoch, so the keys are distinct
     order = np.argsort(nodes * carrying.size + tids)
     nodes, tids, step = nodes[order], tids[order], step[order]
@@ -216,7 +235,8 @@ def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n
     walk = np.cumsum(step)
     walk -= (walk[starts] - step[starts])[group]  # per-node prefix sums
     # segmented running minimum: shift each node's walk below every earlier
-    # node's; |walk| <= events, so the offsets stay below n * (2 * nt + 1)
+    # node's; |walk| <= events <= nt, so with c contended nodes the offsets
+    # stay below c * (2 * nt + 1) <= n * (2 * nt + 1)
     span = walk.max() - walk.min() + 1
     low = np.minimum.accumulate(walk - group * span) + group * span
     start_stock = counts[nodes]

@@ -1,27 +1,37 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from centbench import GotConfig, build_graph, default_epochs, run_got
+from centbench import (GotConfig, build_graph, default_epochs, gen_holme_kim,
+                       run_got)
 from centbench.got import _resolve_pickups
 from centbench.rng import make_rng
 
-from conftest import cycle_graph, random_connected_graph, random_graph, star_graph
+from conftest import (cycle_graph, path_graph, random_connected_graph,
+                      random_graph, star_graph)
 from reference import epoch_step, initial_state
 
 
 def run_via_epoch_steps(g, cfg):
-    """Reference result: iterate the sequential epoch_step and average."""
+    """Reference result: iterate the sequential epoch_step and average.
+
+    Also returns the longest outbound trail, in edges, that any thief held
+    at the end of an epoch."""
     tpn, vd, epochs = cfg.resolve(g.n)
     state = initial_state(g, cfg)
     rng = make_rng(cfg.seed)
     phi_sum = np.full(g.n, vd, dtype=np.int64)
     psi_sum = np.zeros(g.m, dtype=np.int64)
+    longest = 0
     for _ in range(epochs):
         epoch_step(g, state, rng)
         phi_sum += state.vdiamonds_at_node
         psi_sum += state.edge_loaded_crossings
+        longest = max(longest, *(len(t.path_stack) - 1 for t in state.thieves))
     denom = epochs if cfg.mean_convention == "per-epoch" else epochs + 1
-    return phi_sum / denom, psi_sum / denom, state
+    return phi_sum / denom, psi_sum / denom, longest
 
 
 def reference_epoch_events(g, cfg):
@@ -214,6 +224,21 @@ class TestRunGot:
                 total_epochs += cfg.epochs
         assert mixed_epochs > total_epochs // 2
 
+    def test_matches_sequential_reference_through_trail_growth(self):
+        # one vdiamond per node is drained within a few epochs, so walkers
+        # wander far from home: the reference's trails pass 32 edges, and
+        # run_got's trail, 16 edges wide at the start, is re-laid out at
+        # each doubling of its width
+        for g in (path_graph(40), cycle_graph(40)):
+            for tpn in (1, 2):
+                cfg = GotConfig(thieves_per_node=tpn, vdiamonds_per_node=1,
+                                epochs=300, seed=1)
+                res = run_got(g, cfg)
+                phi_ref, psi_ref, longest = run_via_epoch_steps(g, cfg)
+                assert longest > 32
+                assert np.array_equal(res.phi, phi_ref)
+                assert np.array_equal(res.psi, psi_ref)
+
     def test_refused_pickups_match_reference(self, np_rng):
         cases = [(star_graph(10), GotConfig(thieves_per_node=2,
                                             vdiamonds_per_node=1, epochs=40,
@@ -299,10 +324,89 @@ class TestRunGot:
                         assert g.has_edge(a, b)
 
 
+def check_against_naive(counts, nt, att_ids, att_nodes, dep_ids, dep_nodes):
+    """Resolve one epoch both ways, updating ``counts`` in place, and return
+    the thieves left carrying and, for the start stock, the number of
+    (contended nodes, uncontended nodes that take attempts, contended nodes
+    that take deposits). A node is contended when its stock is below its
+    attempts."""
+    n = counts.size
+    attempts = np.bincount(att_nodes, minlength=n)
+    contended = counts < attempts
+    shape = (int(contended.sum()),
+             int(((attempts > 0) & ~contended).sum()),
+             int((contended & (np.bincount(dep_nodes, minlength=n) > 0)).sum()))
+    carrying = np.zeros(nt, dtype=bool)
+    want_counts, want_carrying = counts.copy(), carrying.copy()
+    naive_resolve(want_counts, want_carrying, att_ids, att_nodes, dep_ids,
+                  dep_nodes)
+    _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes,
+                     n)
+    assert counts.tolist() == want_counts.tolist()
+    assert carrying.tolist() == want_carrying.tolist()
+    return carrying, shape
+
+
+@pytest.fixture(scope="module")
+def criterion6_graph():
+    return gen_holme_kim(10000, 5, 0.3, seed=606)
+
+
+class TestCriterion6Graph:
+    """run_got at n=10^4, where the sequential reference is too slow and
+    where nodes with and without contention share most epochs."""
+
+    # sha256 of phi and psi (float64, little-endian bytes) and of the trace
+    # as an int64 (epochs + 1, 4) array, for GotConfig(seed=607) with the
+    # given vdiamonds_per_node. Recorded with the kernel that sorted every
+    # event of an epoch once any node ran short, before contended nodes were
+    # split out and the trail was stored flat; this one must reproduce them.
+    DIGESTS = {
+        None: ("eb20e1971289bb57b65c244ad82cec6a7c06226faf240fa1112d7b168614685f",
+               "8336e5bd8f1081dcaccea8af633d76e033be16cf97828e97db213ade55a7ba50",
+               "0e617d676c6b89310583a7367242572809003c6157a39d8714dbbfb8706062ce"),
+        1: ("523ff678790e71354b51ee2c622fe237923cf21032c8b3789b99ef4dbd7bab7d",
+            "553ddea6404d15a7ffab52b39be9e18789b31534c2352491193492efe126f0dc",
+            "4870ea155e8eccdd7f8d50b49a9c1d4fd4993a6b06d39d07df9181d5dcd14118"),
+    }
+
+    @pytest.mark.parametrize("vd", [None, 1], ids=["default", "vd1"])
+    def test_outputs_match_recorded_digests(self, criterion6_graph, vd):
+        res = run_got(criterion6_graph,
+                      GotConfig(vdiamonds_per_node=vd, seed=607),
+                      collect_trace=True)
+        trace = np.asarray(res.trace, dtype=np.int64)
+        # pickups are refused in 183 of 782 epochs at default stock, and in
+        # every epoch at one vdiamond per node
+        assert (trace[1:, 3] > 0).sum() == (183 if vd is None else 782)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                        for a in (res.phi, res.psi, trace))
+        assert digests == self.DIGESTS[vd]
+
+    # tracemalloc peaks measured 3.5 MB and 9.3 MB; the bounds leave about
+    # 25% headroom. At one vdiamond per node the trail grows to 64 edges
+    # wide, and the peak is its last doubling: growing it with a zero-filled
+    # temporary alongside peaked at 12.0 MB
+    @pytest.mark.parametrize("vd, bound", [(None, 4.5e6), (1, 11.5e6)],
+                             ids=["default", "vd1"])
+    def test_memory_bounded(self, criterion6_graph, vd, bound):
+        tracemalloc.start()
+        try:
+            run_got(criterion6_graph, GotConfig(vdiamonds_per_node=vd, seed=607))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB"
+
+
 class TestResolvePickups:
     def test_matches_naive_id_ordered_loop(self, np_rng):
         # few nodes and many thieves, so nodes see several deposits
-        # interleaved with several attempts; start stock includes zeros
+        # interleaved with several attempts; start stock includes zeros.
+        # Only contended nodes (stock below their attempts) are replayed in
+        # id order; count the calls that split, and those where a contended
+        # node's deposits interleave with its attempts
+        split = mixed = 0
         for trial in range(300):
             n = int(np_rng.integers(1, 6))
             nt = int(np_rng.integers(2, 40))
@@ -312,14 +416,24 @@ class TestResolvePickups:
             dep_ids = np.flatnonzero(role == 2).astype(np.int64)
             att_nodes = np_rng.integers(0, n, size=att_ids.size).astype(np.int64)
             dep_nodes = np_rng.integers(0, n, size=dep_ids.size).astype(np.int64)
-            carrying = np.zeros(nt, dtype=bool)
-            want_counts, want_carrying = counts.copy(), carrying.copy()
-            naive_resolve(want_counts, want_carrying, att_ids, att_nodes,
-                          dep_ids, dep_nodes)
-            _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids,
-                             dep_nodes, n)
-            assert counts.tolist() == want_counts.tolist(), trial
-            assert carrying.tolist() == want_carrying.tolist(), trial
+            _, (hot, cold, hot_dep) = check_against_naive(
+                counts, nt, att_ids, att_nodes, dep_ids, dep_nodes)
+            split += hot > 0 and cold > 0
+            mixed += hot_dep > 0
+        assert split >= 75 and mixed >= 150, (split, mixed)
+
+    def test_contended_and_uncontended_nodes_in_one_call(self):
+        # node 0 (stock 1, attempts 1, 4, 6, deposit 5): 1 takes the stock,
+        # 4 finds it empty, 5 refills it for 6. Node 1 (stock 2, attempts 2
+        # and 3, deposit 0) covers its attempts. Node 2 (stock 0) refuses 7
+        # before 8 deposits.
+        counts = np.int64([1, 2, 0])
+        carrying, shape = check_against_naive(
+            counts, 9, np.int64([1, 2, 3, 4, 6, 7]), np.int64([0, 1, 1, 0, 0, 2]),
+            np.int64([0, 5, 8]), np.int64([1, 0, 2]))
+        assert shape == (2, 1, 2)
+        assert counts.tolist() == [0, 1, 1]
+        assert np.flatnonzero(carrying).tolist() == [1, 2, 3, 6]
 
 
 class TestConfig:

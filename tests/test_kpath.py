@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import centbench.kpath
-from centbench import KpathConfig, build_graph, spearman, werw_kpath
+from centbench import (KpathConfig, build_graph, gen_holme_kim, spearman,
+                       werw_kpath)
 
 from conftest import path_graph, random_connected_graph, star_graph
 from reference import oracle_kpath, werw_kpath_reference
@@ -140,6 +143,18 @@ class TestWerwKpath:
         a = werw_kpath(g, KpathConfig(k=3, rho=2000, seed=77))
         b = werw_kpath(shuffled, KpathConfig(k=3, rho=2000, seed=77))
         assert np.array_equal(b, a[perm])
+
+    def test_memory_bounded_on_criterion6_graph(self):
+        # 400k walks in blocks of BLOCK_WALKS: the tracemalloc peak measured
+        # 12.7 MB, and the bound leaves about 25% headroom
+        g = gen_holme_kim(10000, 5, 0.3, seed=606)
+        tracemalloc.start()
+        try:
+            werw_kpath(g, KpathConfig(seed=607))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _reference_graphs():
