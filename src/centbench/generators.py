@@ -143,11 +143,11 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
     adj: list[list[int]] = [[] for _ in range(n)]
     endpoints: list[int] = []  # one entry per edge endpoint, drives PA draws
 
+    def adjacent(a: int, b: int) -> bool:
+        return ((a, b) if a < b else (b, a)) in present
+
     def eligible(new: int, t: int) -> bool:
-        if t == new:
-            return False
-        key = (t, new) if t < new else (new, t)
-        return key not in present
+        return t != new and not adjacent(new, t)
 
     def pa_target(new: int) -> int:
         if endpoints:
@@ -160,6 +160,21 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
                     return t
         pool = [t for t in range(new) if eligible(new, t)]
         return pool[int(rng.integers(len(pool)))]
+
+    def triad_target(new: int, prev: int) -> int | None:
+        # the r-th eligible entry of prev's row, drawn as over the list of
+        # eligible entries but without building it: new is the row's last
+        # entry, and r steps over the positions of new's other neighbours
+        row = adj[prev]
+        skip = sorted(row.index(w) for w in adj[new] if adjacent(prev, w))
+        if len(row) - 1 == len(skip):
+            return None
+        r = int(rng.integers(len(row) - 1 - len(skip)))
+        for s in skip:
+            if s > r:
+                break
+            r += 1
+        return row[r]
 
     def connect(new: int, t: int) -> None:
         key = (t, new) if t < new else (new, t)
@@ -174,11 +189,7 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
         prev = pa_target(new)
         connect(new, prev)
         for _ in range(m - 1):
-            target = None
-            if rng.random() < p:
-                friends = [w for w in adj[prev] if eligible(new, w)]
-                if friends:
-                    target = friends[int(rng.integers(len(friends)))]
+            target = triad_target(new, prev) if rng.random() < p else None
             if target is None:
                 target = pa_target(new)
             connect(new, target)

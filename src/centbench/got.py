@@ -18,21 +18,25 @@ version lives with the tests (``tests/reference.py``) as their reference.
 The kernel moves every thief at once, then resolves the epoch's pickups
 node by node, since a node's outcome depends only on its own start stock
 and the id order of the deposits and attempts it sees. At a node whose
-stock covers its attempts, all of them succeed in any order, so counts
-settle it. Only the contended nodes, whose stock is below their attempts,
-need the order: one vectorized pass sorts their events by (node, thief
-id) and treats each node's stock as a walk clamped at zero (-1 per
-attempt, +1 per deposit), whose closed form is the prefix sum minus the
-negative part of its running minimum; an attempt succeeds iff the stock
-just before it is positive. At the default stock, even an epoch with
-contention has few contended nodes, so that sort stays small. A trace
-record also counts the refused attempts, those that found the node empty.
+stock covers its attempts, all of them succeed in any order, and at an
+empty node that takes no deposit all of them fail, so counts settle both.
+Only the other short nodes, whose stock is below their attempts, need the
+order: one vectorized pass sorts their events by (node, thief id) and
+treats each node's stock as a walk clamped at zero (-1 per attempt, +1
+per deposit), whose closed form is the prefix sum minus the negative part
+of its running minimum; an attempt succeeds iff the stock just before it
+is positive. At the default stock, even an epoch with contention has few
+such nodes, and at one vdiamond per node most short nodes are empty, so
+that sort stays small. A trace record also counts the refused attempts,
+those that found the node empty.
 
 A thief's state is its position and its trail, the edge ids of its hops
 out from home. A walker appends the edge it takes; a loaded thief pops the
 last one and moves to that edge's other end, so no node path is stored.
-All trails share one flat array, thief t's hop i at ``t * width + i``, and
-the width doubles when a walker outgrows it.
+All trails share one flat array stored depth-major, thief t's hop i at
+``i * nt + t`` for nt thieves, so the shallow rows that nearly every hop
+reads and writes lie together; when a walker outgrows the array it doubles,
+the old rows copied into its front.
 
 Score accumulation: with ``mean_convention="per-epoch"`` the sums over
 epochs 0..T (T+1 addends, where epoch 0 is the initial state) are divided
@@ -117,9 +121,10 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     ``epoch_step`` of ``tests/reference.py`` with the same generator.
 
     Thief state is the ``pos``, ``carrying`` and ``depth`` vectors and one
-    flat ``trail`` array, which holds thief t's outbound edge ids at
-    ``t * width`` to ``t * width + depth[t] - 1``; ``width`` doubles, and the
-    trails are laid out again, when a walker needs more.
+    flat ``trail`` array of rows of ``nt`` entries, one row per hop: thief
+    t's i-th outbound edge id is at ``i * nt + t``, for i below
+    ``depth[t]``. When a walker needs a row past the end, the array doubles
+    and the old rows are copied into its front.
     """
     n, m = g.n, g.m
     if n < 2:
@@ -134,8 +139,7 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     counts = np.full(n, vd, dtype=np.int64)
     carrying = np.zeros(nt, dtype=bool)
     pos = home.copy()
-    width = 16
-    trail = np.zeros(nt * width, dtype=np.int64)
+    trail = np.zeros(16 * nt, dtype=np.int64)
     depth = np.zeros(nt, dtype=np.int64)
 
     phi_sum = np.full(n, vd, dtype=np.int64)  # epoch-0 snapshot
@@ -152,7 +156,7 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
 
         # loaded thieves retrace one hop; those that arrive home deposit
         d = depth[carr_ids] - 1
-        e = trail[carr_ids * width + d]
+        e = trail[d * nt + carr_ids]
         np.add.at(psi_sum, e, 1)
         pos[carr_ids] = ends[e] - pos[carr_ids]
         depth[carr_ids] = d
@@ -165,11 +169,11 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
         slots = indptr[at] + (draws * deg[at]).astype(np.int64)
         to = adj[slots]
         d = depth[walk_ids]
-        if d.max(initial=0) >= width:
-            grown = np.zeros((nt, 2 * width), dtype=np.int64)
-            grown[:, :width] = trail.reshape(nt, width)
-            trail, width = grown.ravel(), 2 * width
-        trail[walk_ids * width + d] = adj_eids[slots]
+        if (d.max(initial=0) + 1) * nt > trail.size:
+            grown = np.zeros(2 * trail.size, dtype=np.int64)
+            grown[:trail.size] = trail
+            trail = grown
+        trail[d * nt + walk_ids] = adj_eids[slots]
         pos[walk_ids] = to
         away = to != home[walk_ids]
         depth[walk_ids] = np.where(away, d + 1, 0)  # trail restarts at home
@@ -198,29 +202,37 @@ def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n
     attempts, so nodes resolve independently. Where the start stock covers
     a node's attempts, every attempt succeeds whatever the order, and the
     node's stock changes by its deposits minus its attempts; that is the
-    whole epoch when no node is contended. The contended nodes' events are
-    resolved in one exact pass: sorted by (node, thief id), a node's stock
-    is a walk clamped at zero, Y_j = max(0, Y_{j-1} + step_j), with step -1
-    for an attempt and +1 for a deposit. Its closed form is the unclamped
-    walk S_j minus min(0, min_{i<=j} S_i), and an attempt succeeds iff the
-    stock just before it, Y_{j-1}, is positive.
+    whole epoch when no node is contended. A contended node that is empty
+    and takes no deposit refuses every attempt and stays empty. The other
+    contended nodes, the ordered ones, are resolved in one exact pass over
+    their events: sorted by (node, thief id), a node's stock is a walk
+    clamped at zero, Y_j = max(0, Y_{j-1} + step_j), with step -1 for an
+    attempt and +1 for a deposit. Its closed form is the unclamped walk S_j
+    minus min(0, min_{i<=j} S_i), and an attempt succeeds iff the stock just
+    before it, Y_{j-1}, is positive.
+
+    The attempting and depositing thieves must enter with ``carrying``
+    false: each one's flag is written, not only the granted ones.
     """
     att_per_node = np.bincount(att_nodes, minlength=n)
+    dep_per_node = np.bincount(dep_nodes, minlength=n)
     short = counts < att_per_node
     if not short.any():
-        counts += np.bincount(dep_nodes, minlength=n) - att_per_node
+        counts += dep_per_node - att_per_node
         carrying[att_ids] = True
         return
 
-    # where stock covers the attempts, all of them succeed in any order
-    nodes = np.concatenate((att_nodes, dep_nodes))
-    hot = short[nodes]
-    carrying[att_ids[~hot[:att_ids.size]]] = True
-    counts += np.where(short, 0, np.bincount(dep_nodes, minlength=n)
-                       - att_per_node)
+    # where stock covers the attempts, all of them succeed in any order;
+    # where it is short, empty and takes no deposit, all of them fail
+    ordered = short & ((counts > 0) | (dep_per_node > 0))
+    carrying[att_ids] = ~short[att_nodes]
+    counts += np.where(short, 0, dep_per_node - att_per_node)
+    if not ordered.any():
+        return
 
-    # contended nodes: one clamped walk per node over its events
-    keep = np.flatnonzero(hot)
+    # ordered nodes: one clamped walk per node over its events
+    nodes = np.concatenate((att_nodes, dep_nodes))
+    keep = np.flatnonzero(ordered[nodes])
     nodes = nodes[keep]
     tids = np.concatenate((att_ids, dep_ids))[keep]
     step = np.where(keep < att_ids.size, -1, 1)
@@ -235,7 +247,7 @@ def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n
     walk = np.cumsum(step)
     walk -= (walk[starts] - step[starts])[group]  # per-node prefix sums
     # segmented running minimum: shift each node's walk below every earlier
-    # node's; |walk| <= events <= nt, so with c contended nodes the offsets
+    # node's; |walk| <= events <= nt, so with c ordered nodes the offsets
     # stay below c * (2 * nt + 1) <= n * (2 * nt + 1)
     span = walk.max() - walk.min() + 1
     low = np.minimum.accumulate(walk - group * span) + group * span
@@ -244,6 +256,6 @@ def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n
     before = np.empty_like(stock)
     before[1:] = stock[:-1]
     before[starts] = start_stock[starts]
-    carrying[tids[(step < 0) & (before > 0)]] = True
+    carrying[tids] = (step < 0) & (before > 0)
     last = np.append(starts[1:] - 1, nodes.size - 1)
     counts[nodes[last]] = stock[last]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -114,6 +115,46 @@ class TestHolmeKim:
         a = gen_holme_kim(200, 3, 0.3, seed=42)
         b = gen_holme_kim(200, 3, 0.3, seed=42)
         assert a.edge_list() == b.edge_list()
+
+
+class TestRecordedEdgeLists:
+    """sha256 of ``edge_u`` then ``edge_v`` (int64, little-endian bytes),
+    recorded with the Holme-Kim triad step that listed every eligible
+    neighbour of the previous target before drawing one. The cases cover
+    the criterion-6 graph, p = 0 and p = 1, m = 1, and m = n - 1, where
+    preferential attachment saturates and falls back to the uniform pool."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: gen_holme_kim(10000, 5, 0.3, seed=606),
+         "3b614f166ea18c28db0c2a0945cff76fd93ff0ba2aed3003dbce2ff047166e1c"),
+        (lambda: gen_holme_kim(2000, 5, 1.0, seed=1),
+         "3186245ad7b6fe76194f8949cb5510a204f73636c88328aef2989e4ea7c20a8a"),
+        (lambda: gen_holme_kim(50, 49, 0.5, seed=2),
+         "3e959f5e6c2364be4ecac735b6e30affa73890081bf8e4eedd8af5a7d82a6d47"),
+        (lambda: gen_holme_kim(30, 29, 1.0, seed=3),
+         "68a579d60c638b19f6f1e44763f763e69e50903b7a3ff44d652056270cdfe015"),
+        (lambda: gen_holme_kim(1000, 25, 0.3, seed=4),
+         "616edc8bcc92ed3bbb995622a36cd86ce1b817c28dba98ac8c41f9be2c7e4040"),
+        (lambda: gen_holme_kim(500, 3, 0.9, seed=5),
+         "db4c55af92cfadb1b709c39b3eecd92bb4bd3e78099e2bda850efdeb4f339dcb"),
+        (lambda: gen_holme_kim(200, 1, 0.5, seed=6),
+         "75f7efed25df506970d08d34b148e9345a148dc5eaeff8c4771455b6f944884b"),
+        (lambda: gen_holme_kim(1000, 15, 0.7, seed=7),
+         "919c68b55efe0de85b3f39cf0c6f06d7cbf9ec4e4b61f8b96e1c9ba7e5047df3"),
+        (lambda: gen_holme_kim(100, 10, 1.0, seed=8),
+         "4296565c11e7b7c1015609d90927b13334eb365918409c66b5a9921699dd6ae1"),
+        (lambda: gen_holme_kim(300, 2, 0.0, seed=9),
+         "0d261dd6d1ba29b962d9b557622370f6f09b6829e1bf409f869f8de616361b27"),
+        (lambda: gen_erdos_renyi(500, 0.02, seed=3),
+         "2501d69ebb6ef847152335f4890ea954dc09156c13cd6b477c5bb75b51ee3c33"),
+        (lambda: gen_nws_small_world(500, 6, 0.6, seed=4),
+         "703db2a4bf2a0b70d46d1a5ec974e8b3e7874bd9037774a821e8041de01c3b2d"),
+    ], ids=["hk-criterion6", "hk-p1", "hk-m-n-1", "hk-m-n-1-p1", "hk-m25",
+            "hk-p0.9", "hk-m1", "hk-m15", "hk-m10-p1", "hk-p0", "er", "nws"])
+    def test_edge_list_digest(self, make, digest):
+        g = make()
+        data = g.edge_u.astype("<i8").tobytes() + g.edge_v.astype("<i8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestGeneratorSpec:

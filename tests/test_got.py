@@ -227,8 +227,8 @@ class TestRunGot:
     def test_matches_sequential_reference_through_trail_growth(self):
         # one vdiamond per node is drained within a few epochs, so walkers
         # wander far from home: the reference's trails pass 32 edges, and
-        # run_got's trail, 16 edges wide at the start, is re-laid out at
-        # each doubling of its width
+        # run_got's depth-major trail, 16 rows deep at the start, gains rows
+        # twice, copying the old rows into the front of the grown array
         for g in (path_graph(40), cycle_graph(40)):
             for tpn in (1, 2):
                 cfg = GotConfig(thieves_per_node=tpn, vdiamonds_per_node=1,
@@ -328,14 +328,17 @@ def check_against_naive(counts, nt, att_ids, att_nodes, dep_ids, dep_nodes):
     """Resolve one epoch both ways, updating ``counts`` in place, and return
     the thieves left carrying and, for the start stock, the number of
     (contended nodes, uncontended nodes that take attempts, contended nodes
-    that take deposits). A node is contended when its stock is below its
-    attempts."""
+    that take deposits, contended nodes that are empty and take no
+    deposit). A node is contended when its stock is below its attempts;
+    the last kind refuses every attempt, whatever the order."""
     n = counts.size
     attempts = np.bincount(att_nodes, minlength=n)
+    deposits = np.bincount(dep_nodes, minlength=n)
     contended = counts < attempts
     shape = (int(contended.sum()),
              int(((attempts > 0) & ~contended).sum()),
-             int((contended & (np.bincount(dep_nodes, minlength=n) > 0)).sum()))
+             int((contended & (deposits > 0)).sum()),
+             int((contended & (counts == 0) & (deposits == 0)).sum()))
     carrying = np.zeros(nt, dtype=bool)
     want_counts, want_carrying = counts.copy(), carrying.copy()
     naive_resolve(want_counts, want_carrying, att_ids, att_nodes, dep_ids,
@@ -360,7 +363,8 @@ class TestCriterion6Graph:
     # as an int64 (epochs + 1, 4) array, for GotConfig(seed=607) with the
     # given vdiamonds_per_node. Recorded with the kernel that sorted every
     # event of an epoch once any node ran short, before contended nodes were
-    # split out and the trail was stored flat; this one must reproduce them.
+    # split out and the trail was stored flat, then depth-major; this one
+    # must reproduce them.
     DIGESTS = {
         None: ("eb20e1971289bb57b65c244ad82cec6a7c06226faf240fa1112d7b168614685f",
                "8336e5bd8f1081dcaccea8af633d76e033be16cf97828e97db213ade55a7ba50",
@@ -384,9 +388,10 @@ class TestCriterion6Graph:
         assert digests == self.DIGESTS[vd]
 
     # tracemalloc peaks measured 3.5 MB and 9.3 MB; the bounds leave about
-    # 25% headroom. At one vdiamond per node the trail grows to 64 edges
-    # wide, and the peak is its last doubling: growing it with a zero-filled
-    # temporary alongside peaked at 12.0 MB
+    # 25% headroom. At one vdiamond per node the trail grows to 64 rows of
+    # one edge id per thief, and the peak is its last growth, when the old
+    # 32 rows are copied into the front of the new array: growing it with a
+    # zero-filled temporary alongside peaked at 12.0 MB
     @pytest.mark.parametrize("vd, bound", [(None, 4.5e6), (1, 11.5e6)],
                              ids=["default", "vd1"])
     def test_memory_bounded(self, criterion6_graph, vd, bound):
@@ -403,10 +408,12 @@ class TestResolvePickups:
     def test_matches_naive_id_ordered_loop(self, np_rng):
         # few nodes and many thieves, so nodes see several deposits
         # interleaved with several attempts; start stock includes zeros.
-        # Only contended nodes (stock below their attempts) are replayed in
-        # id order; count the calls that split, and those where a contended
-        # node's deposits interleave with its attempts
-        split = mixed = 0
+        # Only contended nodes (stock below their attempts) that hold stock
+        # or take deposits are replayed in id order; count the calls that
+        # split, those where a contended node's deposits interleave with its
+        # attempts, and those where an empty contended node with no deposit
+        # is settled beside a replayed node and an uncontended one
+        split = mixed = settled = 0
         for trial in range(300):
             n = int(np_rng.integers(1, 6))
             nt = int(np_rng.integers(2, 40))
@@ -416,11 +423,13 @@ class TestResolvePickups:
             dep_ids = np.flatnonzero(role == 2).astype(np.int64)
             att_nodes = np_rng.integers(0, n, size=att_ids.size).astype(np.int64)
             dep_nodes = np_rng.integers(0, n, size=dep_ids.size).astype(np.int64)
-            _, (hot, cold, hot_dep) = check_against_naive(
+            _, (hot, cold, hot_dep, empty) = check_against_naive(
                 counts, nt, att_ids, att_nodes, dep_ids, dep_nodes)
             split += hot > 0 and cold > 0
             mixed += hot_dep > 0
+            settled += empty > 0 and hot > empty and cold > 0
         assert split >= 75 and mixed >= 150, (split, mixed)
+        assert settled >= 5, settled    # 7 of the 300 calls
 
     def test_contended_and_uncontended_nodes_in_one_call(self):
         # node 0 (stock 1, attempts 1, 4, 6, deposit 5): 1 takes the stock,
@@ -431,9 +440,22 @@ class TestResolvePickups:
         carrying, shape = check_against_naive(
             counts, 9, np.int64([1, 2, 3, 4, 6, 7]), np.int64([0, 1, 1, 0, 0, 2]),
             np.int64([0, 5, 8]), np.int64([1, 0, 2]))
-        assert shape == (2, 1, 2)
+        assert shape == (2, 1, 2, 0)
         assert counts.tolist() == [0, 1, 1]
         assert np.flatnonzero(carrying).tolist() == [1, 2, 3, 6]
+
+    def test_empty_node_without_deposits_beside_replayed_node(self):
+        # node 0 (stock 1, attempts 1 and 3, deposit 5): 1 takes the stock,
+        # 3 finds it empty, 5 refills it. Node 1 (stock 2, attempt 2) covers
+        # its attempt. Node 2 (stock 0, attempts 0, 4 and 6, no deposit)
+        # refuses all three, whatever the order.
+        counts = np.int64([1, 2, 0])
+        carrying, shape = check_against_naive(
+            counts, 7, np.int64([0, 1, 2, 3, 4, 6]), np.int64([2, 0, 1, 0, 2, 2]),
+            np.int64([5]), np.int64([0]))
+        assert shape == (2, 1, 1, 1)
+        assert counts.tolist() == [1, 1, 0]
+        assert np.flatnonzero(carrying).tolist() == [1, 2]
 
 
 class TestConfig:
