@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, bfs_levels
+from .graph import Graph, component_labels
 
 
 # sources per bit-parallel BFS, a multiple of 64; the bitsets are
@@ -143,7 +143,9 @@ def closeness_centrality(g: Graph) -> np.ndarray:
 
     ``_bit_levels`` runs one BFS per block of ``_BLOCK`` sources, and the
     bits each level sets count the nodes each source reaches at that level.
-    The distance sums are exact integers, ``sum_lev lev * count``.
+    The distance sums are exact integers, ``sum_lev lev * count``. The
+    graph is checked first by ``component_labels``: node 0's label is 0,
+    so the first nonzero label is the smallest node it cannot reach.
 
     Raises:
         DisconnectedGraphError: naming the smallest node that node 0 cannot
@@ -153,11 +155,9 @@ def closeness_centrality(g: Graph) -> np.ndarray:
     n = g.n
     if n < 2:
         raise ValueError(f"closeness needs n >= 2, got n={g.n}")
-    dist = np.full(n, -1, dtype=np.int64)
-    for _ in bfs_levels(g, 0, dist):
-        pass
-    if dist.min() == -1:
-        missing = int(np.flatnonzero(dist == -1)[0])
+    labels = component_labels(g)
+    if labels.any():
+        missing = int(np.flatnonzero(labels)[0])
         raise DisconnectedGraphError(
             f"node {missing} is unreachable from node 0")
     out = np.empty(n, dtype=np.float64)

@@ -68,8 +68,10 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     edges: list[tuple[int, int]] = []
     u, v = 0, 0  # current pair; (0, 0) is the position before (0, 1)
     while True:
-        gap = int(math.log(1.0 - rng.random()) / log_q) + 1
-        v += gap
+        gap = math.log(1.0 - rng.random()) / log_q
+        if gap >= n * n:  # past the last pair, and maybe infinite for tiny p
+            return build_graph(edges, n)
+        v += int(gap) + 1
         while v >= n:
             u += 1
             v = u + 1 + (v - n)
@@ -107,6 +109,8 @@ def gen_nws_small_world(n: int, k: int, p: float, seed: int) -> Graph:
             present.add(key)
     n_lattice = len(edges)
     for _ in range(n_lattice):
+        if len(present) == n * (n - 1) // 2:  # complete: no pair is left
+            break
         if rng.random() >= p:
             continue
         while True:

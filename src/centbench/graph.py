@@ -4,11 +4,11 @@ Nodes are ``0..n-1``. Every undirected edge ``{u, v}`` gets a dense edge id
 in ``0..m-1``, assigned in the order the edges were supplied, so seeded
 experiments produce identical edge ids run after run. Adjacency is stored in
 CSR form (``indptr`` / ``adj``) with each neighbor row sorted ascending, and
-``adj_eids`` carries the edge id of each adjacency slot. ``bfs_levels`` is
-the one single-source level-synchronous BFS; it yields the nodes each level
-reaches, which the component search and the closeness connectivity check
-read. Betweenness and closeness share a bit-parallel BFS over blocks of
-sources in ``exact``.
+``adj_eids`` carries the edge id of each adjacency slot. Components come
+from ``component_labels``, a hook-and-compress pass over the edge arrays
+that the component functions and the closeness connectivity check read.
+Betweenness and closeness share the package's one BFS, bit-parallel over
+blocks of sources, in ``exact``.
 
 Graphs are frozen after construction; every algorithm in the package treats
 them as read-only, which makes them safe to share across threads.
@@ -117,48 +117,39 @@ def build_graph(edges, n: int) -> Graph:
                  edge_u=lo, edge_v=hi, degrees=degrees)
 
 
-def bfs_levels(g: Graph, source: int, dist: np.ndarray):
-    """Level-synchronous BFS from ``source``: the package's one frontier loop.
+def component_labels(g: Graph) -> np.ndarray:
+    """The smallest node id in each node's component.
 
-    ``dist`` must hold -1 at every unreached node and is filled in place.
-    Yields ``fresh`` per level, the sorted nodes one step further out than
-    the last: first the source's neighbours, and last an empty array.
-    ``fresh`` is deduplicated by a sort and an adjacent-difference mask,
-    and its ``dist`` is already set when it is yielded.
+    Hook and compress (Shiloach & Vishkin, J. Algorithms 1982): every round
+    hooks the larger root of each edge whose ends have different roots under
+    the smaller one, then points every node straight at its root. It stops
+    when no edge joins two roots. Labels only fall and never leave their
+    component, so each root left is its component's smallest id.
     """
-    dist[source] = 0
-    frontier = np.asarray([source], dtype=np.int64)
-    lev = 0
+    label = np.arange(g.n, dtype=np.int64)
     while True:
-        cnts = g.degrees[frontier]
-        ends = np.cumsum(cnts)
-        slots = np.repeat(g.indptr[frontier] - (ends - cnts), cnts) + np.arange(ends[-1])
-        nbrs = g.adj[slots]
-        fresh = np.sort(nbrs[dist[nbrs] == -1])
-        first = np.ones(fresh.size, dtype=bool)
-        first[1:] = fresh[1:] != fresh[:-1]
-        fresh = fresh[first]
-        dist[fresh] = lev + 1
-        yield fresh
-        if fresh.size == 0:
-            return
-        frontier = fresh
-        lev += 1
+        lu, lv = label[g.edge_u], label[g.edge_v]
+        if np.array_equal(lu, lv):
+            return label
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def connected_components(g: Graph) -> list[np.ndarray]:
     """All connected components (sorted node ids), by smallest node id."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    comps = []
-    for s in range(g.n):
-        if dist[s] == -1:
-            levels = list(bfs_levels(g, s, dist))
-            comps.append(np.sort(np.concatenate([[s], *levels])))
-    return comps
+    if g.n == 0:
+        return []
+    labels = component_labels(g)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return not component_labels(g).any()
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
@@ -174,11 +165,9 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     """
     if g.n == 0:
         raise GraphError("empty graph has no components")
-    best: np.ndarray | None = None
-    for comp in connected_components(g):
-        if best is None or comp.size > best.size:
-            best = comp
-    assert best is not None
+    labels = component_labels(g)
+    # argmax takes the first of equal sizes, the smallest label
+    best = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
     relabel = np.full(g.n, -1, dtype=np.int64)
     relabel[best] = np.arange(best.size, dtype=np.int64)
     keep = relabel[g.edge_u] >= 0

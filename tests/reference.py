@@ -18,6 +18,8 @@ shortest-path DAG: every level's arcs, masked by distance in both passes.
 node's terms in the same order. ``oracle_closeness`` is closeness by one
 plain deque BFS per source, which the bit-parallel
 ``closeness_centrality`` must equal bit for bit, errors included.
+``oracle_components`` finds the components by one deque BFS from each
+node not yet reached, independently of the hook-and-compress labels.
 """
 from __future__ import annotations
 
@@ -369,3 +371,23 @@ def oracle_closeness(g: Graph) -> np.ndarray:
                 f"node {dist.index(-1)} is unreachable from node {s}")
         out[s] = n / sum(dist)
     return out
+
+
+def oracle_components(g: Graph) -> list[list[int]]:
+    """Components as sorted node-id lists, by smallest node id."""
+    rows = [g.neighbors(u).tolist() for u in range(g.n)]
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, queue = [s], deque([s])
+        while queue:
+            for w in rows[queue.popleft()]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps

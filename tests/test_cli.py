@@ -40,6 +40,15 @@ class TestGen:
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("argv, m", [
+        (("--family", "er", "--n", "100", "--param", "1e-310"), 0),
+        (("--family", "sw", "--n", "5", "--param", "4", "--aux-p", "0.5"), 10),
+    ])
+    def test_gen_edge_cases_finish(self, tmp_path, argv, m):
+        out = tmp_path / "g.edges"
+        assert run_cli("gen", *argv, "--out", str(out)) == 0
+        assert read_edge_list(out).m == m
+
     def test_gen_sf(self, tmp_path):
         out = tmp_path / "sf.edges"
         run_cli("gen", "--family", "sf", "--n", "40", "--param", "3",

@@ -30,6 +30,13 @@ class TestErdosRenyi:
             m = gen_erdos_renyi(1000, 0.01, seed=seed).m
             assert abs(m - mean) <= 4 * sigma
 
+    @pytest.mark.parametrize("p", [1e-310, 5e-324])
+    def test_tiny_p_gap_past_the_end(self, p):
+        # log1p(-p) is subnormal, so the gap overflows to infinity
+        for seed in (1, 2, 3):
+            g = gen_erdos_renyi(100, p, seed=seed)
+            assert (g.n, g.m) == (100, 0)
+
     def test_deterministic(self):
         a = gen_erdos_renyi(300, 0.02, seed=99)
         b = gen_erdos_renyi(300, 0.02, seed=99)
@@ -69,6 +76,12 @@ class TestNewmanWatts:
         for seed in (0, 1, 2):
             m = gen_nws_small_world(1000, 6, 0.6, seed=seed).m
             assert abs(m - 4800) <= 4 * sigma
+
+    @pytest.mark.parametrize("n, k, p", [(5, 4, 0.5), (6, 4, 0.9), (7, 6, 0.3)])
+    def test_shortcuts_stop_at_complete_graph(self, n, k, p):
+        g = gen_nws_small_world(n, k, p, seed=1)
+        assert g.m == n * (n - 1) // 2
+        assert np.all(g.degrees == n - 1)
 
     def test_deterministic(self):
         a = gen_nws_small_world(150, 4, 0.5, seed=11)

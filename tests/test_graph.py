@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centbench import (Graph, GraphError, build_graph, connected_components,
-                       is_connected, largest_connected_component,
-                       parse_edge_list, read_edge_list, write_edge_list)
+from centbench import (DisconnectedGraphError, Graph, GraphError, build_graph,
+                       closeness_centrality, connected_components,
+                       gen_erdos_renyi, is_connected,
+                       largest_connected_component, parse_edge_list,
+                       read_edge_list, write_edge_list)
 
-from centbench.graph import bfs_levels
-from conftest import cycle_graph, layered_graph, path_graph
+from conftest import cycle_graph, path_graph
+from reference import oracle_components
 
 
 def test_build_path_graph():
@@ -73,8 +75,8 @@ def test_empty_graph():
     g = build_graph([], 4)
     assert g.n == 4 and g.m == 0
     assert g.degrees.tolist() == [0, 0, 0, 0]
-    assert connected_components(g) == [np.asarray([i]) for i in range(0)] or \
-        len(connected_components(g)) == 4
+    assert [c.tolist() for c in connected_components(g)] == [[0], [1], [2], [3]]
+    assert connected_components(build_graph([], 0)) == []
 
 
 def test_has_edge_and_missing_edge_id():
@@ -114,33 +116,6 @@ class TestLargestConnectedComponent:
         assert sorted(mapping.keys()) == [5, 7, 9]
         assert sorted(mapping.values()) == [0, 1, 2]
         assert sub.m == 2
-
-
-def test_bfs_levels_fresh_sorted_and_unique():
-    # layers of 20 nodes, each joined to every node of the next, under
-    # shuffled ids: each fresh node is a candidate 19 or 20 times over
-    width, depth = 20, 6
-    layers = np.random.default_rng(7).permutation(width * depth).reshape(
-        depth, width).tolist()
-    g = build_graph([(a, b) for i in range(depth - 1)
-                     for a in layers[i] for b in layers[i + 1]], width * depth)
-    source = layers[0][0]
-    expected = [layers[1], layers[0][1:] + layers[2], *layers[3:], []]
-    dist = np.full(g.n, -1, dtype=np.int64)
-    levels = list(bfs_levels(g, source, dist))
-    assert [f.tolist() for f in levels] == [sorted(e) for e in expected]
-    assert all(np.all(f[1:] > f[:-1]) for f in levels)
-
-
-def test_bfs_levels_reaches_one_layer_per_level():
-    # edges inside a layer and many equal-length paths between layers
-    g, layers = layered_graph()
-    dist = np.full(g.n, -1, dtype=np.int64)
-    levels = list(bfs_levels(g, layers[0][0], dist))
-    assert [sorted(f.tolist()) for f in levels] == [
-        sorted(layer) for layer in layers[1:]] + [[]]
-    for lev, layer in enumerate(layers):
-        assert np.all(dist[layer] == lev)
 
 
 def test_is_connected():
@@ -194,14 +169,52 @@ def test_array_input_builds_the_same_graph(case, rnd):
     assert (g.n, g.m) == (h.n, h.m)
 
 
+def check_components(g):
+    """Components, connectivity, the LCC and the closeness check against
+    ``oracle_components``."""
+    expected = oracle_components(g)
+    comps = connected_components(g)
+    assert [c.tolist() for c in comps] == expected
+    assert all(c.dtype == np.int64 for c in comps)
+    assert is_connected(g) == (len(expected) <= 1)
+    best = max(expected, key=len)  # the first of equal sizes
+    sub, mapping = largest_connected_component(g)
+    assert list(mapping) == best and list(mapping.values()) == list(range(len(best)))
+    assert sub.edge_list() == [(mapping[u], mapping[v]) for u, v in g.edge_list()
+                               if u in mapping]
+    if g.n >= 2 and len(expected) > 1:
+        with pytest.raises(DisconnectedGraphError,
+                           match=rf"^node {expected[1][0]} is unreachable from node 0$"):
+            closeness_centrality(g)
+
+
 @given(edge_sets)
 @settings(max_examples=60, deadline=None)
 def test_components_partition_nodes(case):
     n, edges = case
-    g = build_graph(sorted(edges), n)
-    comps = connected_components(g)
-    seen = np.concatenate(comps) if comps else np.empty(0, dtype=int)
-    assert sorted(seen.tolist()) == list(range(n))
+    check_components(build_graph(sorted(edges), n))
+
+
+def shuffled(edges, n, seed):
+    """The graph under a random relabelling of its node ids."""
+    ids = np.random.default_rng(seed).permutation(n)
+    return build_graph(ids[np.asarray(edges, dtype=np.int64).reshape(-1, 2)], n)
+
+
+@pytest.mark.parametrize("make", [
+    # shuffled ids: labels spread without hooking take tens of thousands of rounds
+    lambda: shuffled([(i, i + 1) for i in range(10**5 - 1)], 10**5, seed=5),
+    lambda: gen_erdos_renyi(10**4, 1.5e-4, seed=3),  # 2,827 components
+    lambda: build_graph([(i, 50) for i in range(50)], 51),  # hub has the top id
+    # two equal largest components and a smaller one: the tie goes to the
+    # component holding the smallest id
+    lambda: shuffled([(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)], 9, seed=8),
+    lambda: shuffled([(i, i + 1) for i in range(7)] + [(i, i + 1) for i in range(8, 15)],
+                     16, seed=9),
+], ids=["shuffled_path_1e5", "er_fragmented_1e4", "star_top_hub",
+        "lcc_tie_small", "lcc_tie_paths"])
+def test_components_match_oracle(make):
+    check_components(make())
 
 
 class TestEdgeListFormat:
