@@ -4,15 +4,20 @@ and Holme–Kim scale-free.
 Every generator consumes exactly one PCG64 stream seeded by its ``seed``
 argument, draws in a fixed order, and assigns edge ids in deterministic
 first-appearance order, so a fixed seed reproduces the edge list bit for
-bit. Outputs are always simple undirected graphs.
+bit. The draws come from ``rng._Draws``, which reads PCG64's raw words in
+blocks and gives the values ``Generator.random()`` and
+``Generator.integers(high)`` would, one by one, without a numpy call per
+draw. Outputs are always simple undirected graphs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Graph, build_graph
-from .rng import make_rng
+from .rng import _Draws
 
 FAMILIES = ("SF", "SW", "ER")
 
@@ -49,6 +54,11 @@ class GeneratorSpec:
         raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
 
 
+def _edge_array(us: list[int], vs: list[int]) -> np.ndarray:
+    """The (m, 2) int64 edge array of two endpoint lists."""
+    return np.array((us, vs), dtype=np.int64).T
+
+
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the C(n, 2) pairs appears independently with prob p.
 
@@ -62,22 +72,24 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if p == 0.0 or n < 2:
         return build_graph([], n)
     if p == 1.0:
-        return build_graph([(u, v) for u in range(n) for v in range(u + 1, n)], n)
-    rng = make_rng(seed)
+        return build_graph(np.stack(np.triu_indices(n, 1), axis=1), n)
+    random = _Draws(seed).random
     log_q = math.log1p(-p)
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     u, v = 0, 0  # current pair; (0, 0) is the position before (0, 1)
     while True:
-        gap = math.log(1.0 - rng.random()) / log_q
+        gap = math.log(1.0 - random()) / log_q
         if gap >= n * n:  # past the last pair, and maybe infinite for tiny p
-            return build_graph(edges, n)
+            return build_graph(_edge_array(us, vs), n)
         v += int(gap) + 1
         while v >= n:
             u += 1
             v = u + 1 + (v - n)
             if u >= n - 1:
-                return build_graph(edges, n)
-        edges.append((u, v))
+                return build_graph(_edge_array(us, vs), n)
+        us.append(u)
+        vs.append(v)
 
 
 def gen_nws_small_world(n: int, k: int, p: float, seed: int) -> Graph:
@@ -97,33 +109,34 @@ def gen_nws_small_world(n: int, k: int, p: float, seed: int) -> Graph:
         raise ValueError(f"k must be < n, got k={k}, n={n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"shortcut probability must be in [0, 1], got {p}")
-    rng = make_rng(seed)
-    edges: list[tuple[int, int]] = []
-    present: set[tuple[int, int]] = set()
+    draws = _Draws(seed)
+    random, below = draws.random, draws.below
+    # lattice edges (i, i + j mod n) for j = 1..k/2, node by node
     half = k // 2
-    for i in range(n):
-        for j in range(1, half + 1):
-            w = (i + j) % n
-            key = (i, w) if i < w else (w, i)
-            edges.append(key)
-            present.add(key)
-    n_lattice = len(edges)
-    for _ in range(n_lattice):
+    ring = np.arange(n, dtype=np.int64).repeat(half)
+    far = (ring + np.tile(np.arange(1, half + 1, dtype=np.int64), n)) % n
+    lattice = np.stack([np.minimum(ring, far), np.maximum(ring, far)], axis=1)
+    present = set((lattice[:, 0] * n + lattice[:, 1]).tolist())  # lo * n + hi
+    us: list[int] = []
+    vs: list[int] = []
+    for _ in range(len(lattice)):
         if len(present) == n * (n - 1) // 2:  # complete: no pair is left
             break
-        if rng.random() >= p:
+        if random() >= p:
             continue
         while True:
-            a = int(rng.integers(n))
-            b = int(rng.integers(n))
+            a = below(n)
+            b = below(n)
             if a == b:
                 continue
-            key = (a, b) if a < b else (b, a)
-            if key not in present:
+            if a > b:
+                a, b = b, a
+            if a * n + b not in present:
                 break
-        edges.append(key)
-        present.add(key)
-    return build_graph(edges, n)
+        us.append(a)
+        vs.append(b)
+        present.add(a * n + b)
+    return build_graph(np.concatenate([lattice, _edge_array(us, vs)]), n)
 
 
 def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
@@ -141,17 +154,15 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"triangle probability must be in [0, 1], got {p}")
-    rng = make_rng(seed)
-    edges: list[tuple[int, int]] = []
-    present: set[tuple[int, int]] = set()
+    draws = _Draws(seed)
+    random, below = draws.random, draws.below
+    present: set[int] = set()  # t * n + new for each edge, every t below new
     adj: list[list[int]] = [[] for _ in range(n)]
-    endpoints: list[int] = []  # one entry per edge endpoint, drives PA draws
+    # new, t for each edge (t, new) in id order; drives the PA draws
+    endpoints: list[int] = []
 
     def adjacent(a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in present
-
-    def eligible(new: int, t: int) -> bool:
-        return t != new and not adjacent(new, t)
+        return (a * n + b if a < b else b * n + a) in present
 
     def pa_target(new: int) -> int:
         if endpoints:
@@ -159,11 +170,11 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
             # only guards against adversarial saturation and then falls back
             # to a uniform eligible draw
             for _ in range(1000):
-                t = endpoints[int(rng.integers(len(endpoints)))]
-                if eligible(new, t):
+                t = endpoints[below(len(endpoints))]
+                if t != new and t * n + new not in present:
                     return t
-        pool = [t for t in range(new) if eligible(new, t)]
-        return pool[int(rng.integers(len(pool)))]
+        pool = [t for t in range(new) if t * n + new not in present]
+        return pool[below(len(pool))]
 
     def triad_target(new: int, prev: int) -> int | None:
         # the r-th eligible entry of prev's row, drawn as over the list of
@@ -173,7 +184,7 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
         skip = sorted(row.index(w) for w in adj[new] if adjacent(prev, w))
         if len(row) - 1 == len(skip):
             return None
-        r = int(rng.integers(len(row) - 1 - len(skip)))
+        r = below(len(row) - 1 - len(skip))
         for s in skip:
             if s > r:
                 break
@@ -181,9 +192,7 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
         return row[r]
 
     def connect(new: int, t: int) -> None:
-        key = (t, new) if t < new else (new, t)
-        edges.append(key)
-        present.add(key)
+        present.add(t * n + new)
         adj[new].append(t)
         adj[t].append(new)
         endpoints.append(new)
@@ -193,9 +202,9 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
         prev = pa_target(new)
         connect(new, prev)
         for _ in range(m - 1):
-            target = triad_target(new, prev) if rng.random() < p else None
+            target = triad_target(new, prev) if random() < p else None
             if target is None:
                 target = pa_target(new)
             connect(new, target)
             prev = target
-    return build_graph(edges, n)
+    return build_graph(np.array(endpoints, dtype=np.int64).reshape(-1, 2), n)

@@ -84,10 +84,12 @@ def build_graph(edges, n: int) -> Graph:
         raw = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
     except OverflowError:  # ids beyond int64, all outside the node range
         raw = np.asarray(edges, dtype=object).reshape(len(edges), 2)
-    loop = raw[:, 0] == raw[:, 1]
-    outside = ((raw < 0) | (raw >= n)).any(axis=1)
-    e = np.where(outside[:, None], 0, raw).astype(np.int64, copy=False)
-    lo, hi = e.min(axis=1), e.max(axis=1)
+    # column by column: reductions along rows of two cost several times more
+    u, v = raw[:, 0], raw[:, 1]
+    loop = u == v
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    lo = np.where(outside, 0, np.minimum(u, v)).astype(np.int64, copy=False)
+    hi = np.where(outside, 0, np.maximum(u, v)).astype(np.int64, copy=False)
     # flag every later occurrence of a key (the stable sort keeps input
     # order); a spurious flag can only follow an edge that is bad itself
     keys = lo * n + hi
@@ -102,14 +104,19 @@ def build_graph(edges, n: int) -> Graph:
         if outside[i]:
             raise GraphError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
         raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
+    return _csr(lo, hi, n)
 
+
+def _csr(lo: np.ndarray, hi: np.ndarray, n: int) -> Graph:
+    """The graph of valid edges ``(lo[i], hi[i])``, ``lo < hi``, with no
+    pair twice; edge i gets id i."""
     m = lo.size
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
-    eids = np.tile(np.arange(m, dtype=np.int64), 2)
-    order = np.lexsort((dst, src))
+    # one key per slot orders rows by source and each row by neighbour
+    order = np.argsort(src * n + dst, kind="stable")
     adj = dst[order]
-    adj_eids = eids[order]
+    adj_eids = order % max(m, 1)  # slot i and slot m + i hold edge i
     degrees = np.bincount(src, minlength=n).astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
@@ -158,7 +165,9 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     Ties between equal-sized components go to the one containing the
     smallest node id. Returns the subgraph and the injective old-id to
     new-id mapping. Edge ids keep their relative order from the parent
-    graph, so subgraph construction is deterministic.
+    graph, so subgraph construction is deterministic. A connected graph is
+    its own largest component: it comes back as is, with the identity
+    mapping.
 
     Raises:
         GraphError: if the graph has no nodes.
@@ -166,14 +175,16 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     if g.n == 0:
         raise GraphError("empty graph has no components")
     labels = component_labels(g)
+    if not labels.any():
+        return g, dict(zip(range(g.n), range(g.n)))
     # argmax takes the first of equal sizes, the smallest label
     best = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
     relabel = np.full(g.n, -1, dtype=np.int64)
     relabel[best] = np.arange(best.size, dtype=np.int64)
     keep = relabel[g.edge_u] >= 0
-    sub = build_graph(relabel[np.stack([g.edge_u[keep], g.edge_v[keep]], axis=1)],
-                      int(best.size))
-    mapping = {int(old): int(new) for new, old in enumerate(best.tolist())}
+    # relabelling keeps id order, so the kept edges stay valid and ordered
+    sub = _csr(relabel[g.edge_u[keep]], relabel[g.edge_v[keep]], int(best.size))
+    mapping = dict(zip(best.tolist(), range(best.size)))
     return sub, mapping
 
 

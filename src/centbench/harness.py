@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import combinations
@@ -289,6 +288,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
              for family, param, seed in cells]
     records: list[ExperimentRecord] = []
     errors: list[dict] = []
+    if workers > 1:  # a serial run does not pay the pool's import
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         for cell_records, error in (pool.map if pool else map)(_run_cell_task,

@@ -20,6 +20,8 @@ plain deque BFS per source, which the bit-parallel
 ``closeness_centrality`` must equal bit for bit, errors included.
 ``oracle_components`` finds the components by one deque BFS from each
 node not yet reached, independently of the hook-and-compress labels.
+``lexsort_csr`` is ``build_graph`` as it was before its one-key argsort:
+a scan for the first offending edge, then CSR rows by ``np.lexsort``.
 """
 from __future__ import annotations
 
@@ -391,3 +393,25 @@ def oracle_components(g: Graph) -> list[list[int]]:
                     queue.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def lexsort_csr(edges: list[tuple[int, int]], n: int):
+    """``(indptr, adj, adj_eids)`` of the edge list, or the ``GraphError``
+    message that names its first offending edge in input order."""
+    seen = set()
+    for a, b in edges:
+        if a == b:
+            return f"self-loop at node {a}"
+        if not (0 <= a < n and 0 <= b < n):
+            return f"edge ({a}, {b}) outside node range 0..{n - 1}"
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            return f"duplicate edge {key}"
+        seen.add(key)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], np.tile(np.arange(lo.size, dtype=np.int64), 2)[order]

@@ -6,6 +6,48 @@ import pytest
 
 from centbench import (GeneratorSpec, clustering_coefficient, gen_erdos_renyi,
                        gen_holme_kim, gen_nws_small_world, is_connected)
+from centbench.rng import _Draws, make_rng
+
+BOUNDS = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+class TestDraws:
+    """``_Draws`` against numpy's own scalar draws from the same seed."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 606, 2**64 - 1])
+    def test_mixed_sequence_matches_generator(self, seed):
+        rng, draws = make_rng(seed), _Draws(seed)
+        plan = np.random.default_rng(seed ^ 0x5EED)
+        highs = BOUNDS + [5, 10, 1000, 123457, 2**20 + 7, 3 * 2**30]
+        # a random mix of random() and below() runs past several raw blocks,
+        # so the kept half crosses random() calls and block edges
+        for _ in range(6000):
+            if plan.random() < 0.3:
+                assert draws.random() == rng.random()
+            else:
+                high = int(highs[plan.integers(len(highs))])
+                assert draws.below(high) == int(rng.integers(high))
+
+    @pytest.mark.parametrize("high", BOUNDS)
+    def test_bound_matches_generator(self, high):
+        # 2**31 + 1 rejects about half of all draws
+        rng, draws = make_rng(7), _Draws(7)
+        got = [draws.below(high) for _ in range(3000)]
+        assert got == [int(rng.integers(high)) for _ in range(3000)]
+        assert all(0 <= x < high for x in got)
+        # the stream then continues in step
+        assert draws.random() == rng.random()
+
+    def test_below_one_takes_no_bits(self):
+        rng, draws = make_rng(3), _Draws(3)
+        assert [draws.below(1) for _ in range(5)] == [0] * 5
+        assert draws.below(10) == int(rng.integers(10))
+        assert draws.random() == rng.random()
+
+    @pytest.mark.parametrize("high", [0, -1, 2**32 + 1, 2**40])
+    def test_bound_out_of_range(self, high):
+        with pytest.raises(ValueError, match=r"^high must be in \[1, 2\*\*32\]"):
+            _Draws(1).below(high)
 
 
 class TestErdosRenyi:
@@ -15,6 +57,7 @@ class TestErdosRenyi:
     def test_p_one_complete(self):
         g = gen_erdos_renyi(5, 1.0, seed=1)
         assert g.m == 10
+        assert g.edge_list() == [(u, v) for u in range(5) for v in range(u + 1, 5)]
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):

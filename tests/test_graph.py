@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,12 @@ from hypothesis import strategies as st
 
 from centbench import (DisconnectedGraphError, Graph, GraphError, build_graph,
                        closeness_centrality, connected_components,
-                       gen_erdos_renyi, is_connected,
+                       gen_erdos_renyi, gen_holme_kim, is_connected,
                        largest_connected_component, parse_edge_list,
                        read_edge_list, write_edge_list)
 
 from conftest import cycle_graph, path_graph
-from reference import oracle_components
+from reference import lexsort_csr, oracle_components
 
 
 def test_build_path_graph():
@@ -94,6 +96,34 @@ class TestLargestConnectedComponent:
         assert sub.edge_list() == g.edge_list()
         assert mapping == {0: 0, 1: 1, 2: 2}
 
+    @pytest.mark.parametrize("make", [
+        lambda: path_graph(1), lambda: cycle_graph(7),
+        lambda: gen_holme_kim(2000, 3, 0.5, seed=2),
+        lambda: gen_erdos_renyi(300, 0.05, seed=1)])
+    def test_connected_graph_comes_back_whole(self, make):
+        g = make()
+        assert is_connected(g)
+        sub, mapping = largest_connected_component(g)
+        for f in ("indptr", "adj", "adj_eids", "edge_u", "edge_v", "degrees"):
+            assert np.array_equal(getattr(sub, f), getattr(g, f))
+        assert (sub.n, sub.m) == (g.n, g.m)
+        assert list(mapping.items()) == [(i, i) for i in range(g.n)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_erdos_renyi(2000, 8e-4, seed=3),
+        lambda: gen_erdos_renyi(300, 0.004, seed=5),
+        lambda: build_graph([(5, 7), (9, 7), (0, 1), (3, 9), (2, 4)], 12)])
+    def test_disconnected_graph_matches_rebuilt_subgraph(self, make):
+        g = make()
+        assert not is_connected(g)
+        sub, mapping = largest_connected_component(g)
+        kept = [(mapping[u], mapping[v]) for u, v in g.edge_list() if u in mapping]
+        want = build_graph(kept, len(mapping))
+        for f in ("indptr", "adj", "adj_eids", "edge_u", "edge_v", "degrees"):
+            assert np.array_equal(getattr(sub, f), getattr(want, f))
+            assert getattr(sub, f).dtype == np.int64
+        assert (sub.n, sub.m) == (want.n, want.m)
+
     def test_picks_larger_component(self):
         g = build_graph([(0, 1), (1, 2), (3, 4)], 5)
         sub, mapping = largest_connected_component(g)
@@ -167,6 +197,29 @@ def test_array_input_builds_the_same_graph(case, rnd):
         assert np.array_equal(getattr(g, f), getattr(h, f))
         assert getattr(h, f).dtype == np.int64
     assert (g.n, g.m) == (h.n, h.m)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csr_matches_lexsort_reference(seed):
+    rnd = np.random.default_rng(seed)
+    for _ in range(150):
+        n = int(rnd.integers(1, 60))
+        edges = [tuple(int(x) for x in rnd.integers(0, n, size=2))
+                 for _ in range(int(rnd.integers(0, 3 * n)))]
+        if rnd.random() < 0.6:  # mostly valid: drop loops and repeats
+            edges = list({(min(e), max(e)): e for e in edges if e[0] != e[1]}.values())
+            rnd.shuffle(edges)
+        if rnd.random() < 0.2:
+            edges.insert(int(rnd.integers(len(edges) + 1)),
+                         (int(rnd.integers(-2, n + 3)), int(rnd.integers(n + 3))))
+        expected = lexsort_csr(edges, n)
+        if isinstance(expected, str):
+            with pytest.raises(GraphError, match=f"^{re.escape(expected)}$"):
+                build_graph(edges, n)
+            continue
+        g = build_graph(edges, n)
+        for got, want in zip((g.indptr, g.adj, g.adj_eids), expected):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def check_components(g):

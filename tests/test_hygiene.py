@@ -5,6 +5,8 @@ package ``__init__`` re-exports its imports, so it is exempt from that
 rule), no module imports from the test suite or its references, and every
 module-level private function or class is used somewhere in the library
 outside its own definition (a use from the tests alone does not count).
+The generators draw through ``rng._Draws`` and never call numpy's
+``Generator`` once per draw.
 """
 import ast
 from pathlib import Path
@@ -72,3 +74,27 @@ def test_no_dead_private_helpers():
                                 for t in trees.values())):
                 dead.append(f"{name}:{node.name}")
     assert not dead, f"private helper(s) used nowhere in the library: {dead}"
+
+
+def test_generators_make_no_per_draw_generator_call():
+    tree = ast.parse((SRC / "generators.py").read_text(encoding="utf-8"))
+
+    def makes_draws(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_Draws")
+
+    # a _Draws(...) call, or a name bound to one, may give random and below
+    draws = {target.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and makes_draws(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    bad = sorted(f"line {node.lineno}: .{node.attr}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in ("integers", "random")
+                 and not makes_draws(node.value)
+                 and not (isinstance(node.value, ast.Name)
+                          and node.value.id in draws))
+    assert draws, "generators.py no longer draws through _Draws"
+    assert not bad, f"generators.py draws from a numpy Generator: {bad}"
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not names & {"make_rng", "default_rng", "Generator"}
