@@ -29,7 +29,7 @@ import numpy as np
 from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
 from .generators import GeneratorSpec
-from .got import GotConfig, run_got
+from .got import LOG_BASES, MEAN_CONVENTIONS, GotConfig, run_got
 from .graph import format_edge_list, largest_connected_component, read_edge_list
 from .harness import ExperimentConfig, run_experiment
 from .kpath import KpathConfig, werw_kpath
@@ -193,12 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("got", help="run the thief simulation")
     _add_graph_arg(p)
     p.add_argument("--lcc", action="store_true")
-    p.add_argument("--thieves-per-node", type=int, default=1)
+    p.add_argument("--thieves-per-node", type=int,
+                   default=GotConfig.thieves_per_node)
     p.add_argument("--vdiamonds-per-node", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--epoch-log-base", choices=["e", "2", "10"], default="e")
-    p.add_argument("--mean-convention", choices=["per-epoch", "arithmetic"],
-                   default="per-epoch")
+    p.add_argument("--epoch-log-base", choices=LOG_BASES,
+                   default=GotConfig.log_base)
+    p.add_argument("--mean-convention", choices=MEAN_CONVENTIONS,
+                   default=GotConfig.mean_convention)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--node-out", default=None)
     p.add_argument("--edge-out", default=None)
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kpath", help="weighted edge random-walk k-path scores")
     _add_graph_arg(p)
     p.add_argument("--lcc", action="store_true")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=KpathConfig.k)
     p.add_argument("--rho", type=int, default=None,
                    help="walk count, at least 2 x edge count (default: "
                         "8 x edge count, four walks per adjacency slot)")

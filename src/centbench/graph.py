@@ -2,11 +2,11 @@
 
 Nodes are ``0..n-1``. Every undirected edge ``{u, v}`` gets a dense edge id
 in ``0..m-1``, assigned in the order the edges were supplied, so seeded
-experiments produce identical edge ids run after run. Adjacency is stored in
-CSR form (``indptr`` / ``adj``) with each neighbor row sorted ascending, and
-``adj_eids`` carries the edge id of each adjacency slot. Components come
-from ``component_labels``, a hook-and-compress pass over the edge arrays
-that the component functions and the closeness connectivity check read.
+experiments produce identical edge ids run after run. One stable sort of
+the adjacency slots gives the CSR form (``indptr`` / ``adj`` / ``adj_eids``,
+rows ascending) and shows a repeated edge as equal neighbours in a row.
+Components come from ``component_labels``, a hook-and-compress pass over
+the edge arrays that the component functions and the closeness check read.
 Betweenness and closeness share the package's one BFS, bit-parallel over
 blocks of sources, in ``exact``.
 
@@ -73,8 +73,8 @@ def build_graph(edges, n: int) -> Graph:
 
     Raises:
         GraphError: on a self-loop, an out-of-range id, or a duplicate edge
-            (the same unordered pair supplied twice), naming the first
-            offending edge in input order.
+            (an unordered pair given twice, seen in the rows of the one
+            slot sort), naming the first offending edge in input order.
     """
     if n < 0:
         raise GraphError(f"node count must be non-negative, got {n}")
@@ -90,12 +90,13 @@ def build_graph(edges, n: int) -> Graph:
     outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     lo = np.where(outside, 0, np.minimum(u, v)).astype(np.int64, copy=False)
     hi = np.where(outside, 0, np.maximum(u, v)).astype(np.int64, copy=False)
-    # flag every later occurrence of a key (the stable sort keeps input
-    # order); a spurious flag can only follow an edge that is bad itself
-    keys = lo * n + hi
-    order = np.argsort(keys, kind="stable")
+    g = _csr(lo, hi, n)
+    # the stable slot sort puts a later copy of a pair right after the earlier
+    # one in its row: flag its edge. Spurious flags fall only on bad edges
+    prev = np.concatenate([[-1], g.adj])
+    prev[g.indptr] = -1
     bad = loop | outside
-    bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    bad[g.adj_eids[g.adj == prev[:-1]]] = True
     if bad.any():
         i = int(np.argmax(bad))
         a, b = int(raw[i, 0]), int(raw[i, 1])
@@ -104,12 +105,12 @@ def build_graph(edges, n: int) -> Graph:
         if outside[i]:
             raise GraphError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
         raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
-    return _csr(lo, hi, n)
+    return g
 
 
 def _csr(lo: np.ndarray, hi: np.ndarray, n: int) -> Graph:
-    """The graph of valid edges ``(lo[i], hi[i])``, ``lo < hi``, with no
-    pair twice; edge i gets id i."""
+    """The graph of edges ``(lo[i], hi[i])``, edge i with id i; ``indptr`` is
+    sized by the degrees: ``build_graph`` passes bad ids as (0, 0), even at n=0."""
     m = lo.size
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
@@ -118,8 +119,7 @@ def _csr(lo: np.ndarray, hi: np.ndarray, n: int) -> Graph:
     adj = dst[order]
     adj_eids = order % max(m, 1)  # slot i and slot m + i hold edge i
     degrees = np.bincount(src, minlength=n).astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
     return Graph(n=n, m=m, indptr=indptr, adj=adj, adj_eids=adj_eids,
                  edge_u=lo, edge_v=hi, degrees=degrees)
 

@@ -73,7 +73,8 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full experiment matrix; serializes 1:1 to the JSON config file."""
+    """Full experiment matrix; serializes 1:1 to the JSON config file, except
+    for the got and kpath seeds, which ``run_cell`` derives per cell."""
     n: int
     sf_m: list[int] = field(default_factory=list)
     sw_k: list[int] = field(default_factory=list)
@@ -99,7 +100,10 @@ class ExperimentConfig:
         return out
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        d = asdict(self)
+        for section in _SEEDED:
+            del d[section]["seed"]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -130,7 +134,8 @@ def _checked(cls, d: dict, section: str) -> dict:
         raise ValueError(f"{where} must be a JSON object, "
                          f"got {type(d).__name__}")
     prefix = f"{section}." if section else ""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    derived = {"seed"} if section in _SEEDED else set()
+    unknown = sorted(set(d) - ({f.name for f in fields(cls)} - derived))
     if unknown:
         raise ValueError("unknown config key(s): "
                          + ", ".join(prefix + k for k in unknown))
@@ -145,6 +150,11 @@ def _checked(cls, d: dict, section: str) -> dict:
                 raise ValueError(f"config key {prefix}{key} must be {kind}, "
                                  f"got {d[key]!r}")
     return dict(d)
+
+
+# sections whose seed field has no config key: run_cell replaces it with one
+# derived from the cell seed
+_SEEDED = ("got", "kpath")
 
 
 def _is_int(v) -> bool:
@@ -180,14 +190,14 @@ _VALUE_TYPES = {
         (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
     ),
     "got": (
-        (("thieves_per_node", "seed"), _is_int, "an integer"),
+        (("thieves_per_node",), _is_int, "an integer"),
         (("vdiamonds_per_node", "epochs"), _is_int_or_null,
          "an integer or null"),
         (("log_base", "mean_convention"), lambda v: isinstance(v, str),
          "a string"),
     ),
     "kpath": (
-        (("k", "seed"), _is_int, "an integer"),
+        (("k",), _is_int, "an integer"),
         (("rho",), _is_int_or_null, "an integer or null"),
     ),
 }

@@ -263,6 +263,8 @@ class TestErrors:
          "config key seeds_per_cell must be at least 1, got 0"),
         ({"seeds_per_cell": -1},
          "config key seeds_per_cell must be at least 1, got -1"),
+        ({"got": {"seed": 7}}, "unknown config key(s): got.seed"),
+        ({"kpath": {"k": 3, "seed": 0}}, "unknown config key(s): kpath.seed"),
     ])
     def test_config_section_and_parameter_values(self, tmp_path, capsys,
                                                  section, message):

@@ -48,6 +48,7 @@ def test_node_out_of_range_rejected():
     ([(2, 0), (1, 2), (0, 2), (2, 1)], 3, r"^duplicate edge \(0, 2\)$"),
     ([(1, 2**70), (0, 0)], 3,
      rf"^edge \(1, {2**70}\) outside node range 0\.\.2$"),
+    ([(0, 1), (1, 1)], 0, r"^edge \(0, 1\) outside node range 0\.\.-1$"),
 ])
 def test_first_offending_edge_names_the_error(edges, n, message):
     with pytest.raises(GraphError, match=message):
@@ -199,6 +200,30 @@ def test_array_input_builds_the_same_graph(case, rnd):
     assert (g.n, g.m) == (h.n, h.m)
 
 
+def several_bad_edges(rnd, n, edges):
+    """Bad edges to add to ``edges`` at once: more copies of one pair (three
+    or more in all, the pair's two rows neighbours when it is ``(u, u+1)``),
+    loops and out-of-range ids, many of them at node 0, where build_graph
+    puts out-of-range edges."""
+    bad = []
+    for _ in range(int(rnd.integers(2, 6))):
+        kind = int(rnd.integers(4))
+        if kind == 0 and edges:
+            a, b = edges[int(rnd.integers(len(edges)))]
+            bad += [(a, b), (b, a)]
+        elif kind == 1 and n >= 2:
+            u = int(rnd.integers(n - 1))
+            bad += [(u, u + 1), (u + 1, u)]
+        elif kind == 2:
+            x = int(rnd.integers(n)) if rnd.random() < 0.5 else 0
+            bad.append((x, x))
+        else:
+            x = int(rnd.choice([-1, n, n + 2]))
+            y = 0 if rnd.random() < 0.5 else int(rnd.integers(n))
+            bad.append((x, y) if rnd.random() < 0.5 else (y, x))
+    return bad
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_csr_matches_lexsort_reference(seed):
     rnd = np.random.default_rng(seed)
@@ -212,6 +237,9 @@ def test_csr_matches_lexsort_reference(seed):
         if rnd.random() < 0.2:
             edges.insert(int(rnd.integers(len(edges) + 1)),
                          (int(rnd.integers(-2, n + 3)), int(rnd.integers(n + 3))))
+        if rnd.random() < 0.3:
+            for e in several_bad_edges(rnd, n, edges):
+                edges.insert(int(rnd.integers(len(edges) + 1)), e)
         expected = lexsort_csr(edges, n)
         if isinstance(expected, str):
             with pytest.raises(GraphError, match=f"^{re.escape(expected)}$"):

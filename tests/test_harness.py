@@ -112,12 +112,16 @@ class TestExperimentConfig:
          r"^config key kpath\.k must be an integer, got '3'$"),
         ({"n": 50, "kpath": {"rho": 2.0}},
          r"^config key kpath\.rho must be an integer or null, got 2\.0$"),
+        # run_cell derives the got and kpath seeds per cell (got.seed is the
+        # last case, so the ids of the cases after this one stay)
         ({"n": 50, "kpath": {"seed": None}},
-         r"^config key kpath\.seed must be an integer, got None$"),
+         r"^unknown config key\(s\): kpath\.seed$"),
         ({"n": 50, "sf_m": [2], "seeds_per_cell": 0},
          r"^config key seeds_per_cell must be at least 1, got 0$"),
         ({"n": 50, "sf_m": [2], "seeds_per_cell": -1},
          r"^config key seeds_per_cell must be at least 1, got -1$"),
+        ({"n": 50, "sf_m": [2], "got": {"seed": 7}},
+         r"^unknown config key\(s\): got\.seed$"),
     ])
     def test_from_dict_names_bad_keys(self, d, message):
         with pytest.raises(ValueError, match=message):
@@ -127,10 +131,10 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict(
             {"n": 50, "sf_m": [5.0], "sw_k": [4],
              "got": {"epochs": None, "vdiamonds_per_node": None,
-                     "log_base": "2", "seed": 3},
+                     "log_base": "2"},
              "kpath": {"k": 3, "rho": None}})
         assert cfg.sf_m == [5.0]
-        assert cfg.got == GotConfig(log_base="2", seed=3)
+        assert cfg.got == GotConfig(log_base="2")
         assert cfg.kpath == KpathConfig(k=3)
 
 
