@@ -56,9 +56,8 @@ def _write_scores(scores: np.ndarray, out, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps({"scores": [float(x) for x in scores]}, indent=2) + "\n"
     else:
-        lines = [f"# {len(scores)} scores"]
-        lines.extend(repr(float(x)) for x in scores)
-        text = "\n".join(lines) + "\n"
+        text = f"# {len(scores)} scores\n" + "".join(
+            f"{float(x)!r}\n" for x in scores)
     _emit(text, out)
 
 
@@ -66,25 +65,22 @@ def read_scores(path) -> np.ndarray:
     """Read a score file: JSON with a "scores" key, or one float per line."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         scores = json.loads(text).get("scores")
         if not isinstance(scores, list):
             raise ValueError(f'{path}: JSON score file has no "scores" list')
         return np.asarray(scores, dtype=np.float64)
-    values = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        values.append(float(line))
-    return np.asarray(values, dtype=np.float64)
+    lines = (line.strip() for line in text.splitlines())
+    return np.asarray([float(line) for line in lines
+                       if line and not line.startswith("#")], dtype=np.float64)
 
 
 def _add_graph_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="edge-list file to read")
     p.add_argument("--n", type=int, default=None,
                    help="node count (default: max id + 1)")
+    p.add_argument("--lcc", action="store_true",
+                   help="reduce to the largest connected component first")
 
 
 def _read_graph(args):
@@ -142,11 +138,9 @@ def _cmd_correlate(args) -> int:
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        rows = ["coefficient,value"]
-        for name in ("pearson", "spearman", "kendall"):
-            v = payload[name]
-            rows.append(f"{name},{'' if v is None else repr(v)}")
-        text = "\n".join(rows) + "\n"
+        text = "coefficient,value\n" + "".join(
+            f"{name},{'' if payload[name] is None else repr(payload[name])}\n"
+            for name in ("pearson", "spearman", "kendall"))
     _emit(text, args.out)
     return 0
 
@@ -184,15 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centrality", help="exact centrality of one graph")
     _add_graph_arg(p)
     p.add_argument("--measure", required=True, choices=sorted(MEASURES))
-    p.add_argument("--lcc", action="store_true",
-                   help="reduce to the largest connected component first")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_centrality)
 
     p = sub.add_parser("got", help="run the thief simulation")
     _add_graph_arg(p)
-    p.add_argument("--lcc", action="store_true")
     p.add_argument("--thieves-per-node", type=int,
                    default=GotConfig.thieves_per_node)
     p.add_argument("--vdiamonds-per-node", type=int, default=None)
@@ -201,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=GotConfig.log_base)
     p.add_argument("--mean-convention", choices=MEAN_CONVENTIONS,
                    default=GotConfig.mean_convention)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=GotConfig.seed)
     p.add_argument("--node-out", default=None)
     p.add_argument("--edge-out", default=None)
     p.add_argument("--trace", default=None,
@@ -211,12 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kpath", help="weighted edge random-walk k-path scores")
     _add_graph_arg(p)
-    p.add_argument("--lcc", action="store_true")
     p.add_argument("--k", type=int, default=KpathConfig.k)
     p.add_argument("--rho", type=int, default=None,
                    help="walk count, at least 2 x edge count (default: "
                         "8 x edge count, four walks per adjacency slot)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=KpathConfig.seed)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_kpath)

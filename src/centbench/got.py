@@ -83,20 +83,22 @@ class GotConfig:
     mean_convention: str = "per-epoch"
     seed: int = 0
 
+    def __post_init__(self):
+        for name, allowed in (("log_base", LOG_BASES),
+                              ("mean_convention", MEAN_CONVENTIONS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("thieves_per_node", "vdiamonds_per_node", "epochs"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
     def resolve(self, n: int) -> tuple[int, int, int]:
         """Concrete (thieves_per_node, vdiamonds_per_node, epochs) for n nodes."""
-        if self.log_base not in LOG_BASES:
-            raise ValueError(f"log_base must be one of {LOG_BASES}")
-        if self.mean_convention not in MEAN_CONVENTIONS:
-            raise ValueError(f"mean_convention must be one of {MEAN_CONVENTIONS}")
-        tpn = self.thieves_per_node
         vd = self.vdiamonds_per_node if self.vdiamonds_per_node is not None else n
         epochs = self.epochs if self.epochs is not None else default_epochs(n, self.log_base)
-        if tpn < 1 or vd < 1 or epochs < 1:
-            raise ValueError(
-                f"thieves_per_node, vdiamonds_per_node and epochs must be >= 1, "
-                f"got {tpn}, {vd}, {epochs}")
-        return tpn, vd, epochs
+        return self.thieves_per_node, vd, epochs
 
 
 class TraceRecord(NamedTuple):

@@ -13,10 +13,10 @@ tags "gen", "got" and "kpath", so the stages have independent streams and
 any stage can be replayed in isolation.
 
 Reports: a CSV with one row per record (fixed, versioned schema), a JSON
-document carrying the same records plus per-cell stage timings and any
-cell errors, and one plot-data CSV per coefficient laid out for
-value-vs-parameter curves (one series per measure pair). Failed cells are
-recorded as error entries and the run continues.
+document carrying the same records plus one entry per cell (its key with
+its stage timings, or its error if it failed), and one plot-data CSV per
+coefficient laid out for value-vs-parameter curves (one series per measure
+pair). A failed cell has no records, and the run continues.
 """
 from __future__ import annotations
 
@@ -37,11 +37,12 @@ from .kpath import KpathConfig, werw_kpath
 from .rng import derive_seed
 from .stats import correlate
 
-SCHEMA_VERSION = 1
-CSV_COLUMNS = ["schema_version", "family", "n", "param", "seed", "lcc_n",
-               "lcc_m", "pair", "coefficient", "value", "wall_ms"]
-PLOT_COLUMNS = ["family", "n", "param", "seed", "pair", "coefficient", "value"]
-ERROR_COLUMNS = ["family", "n", "param", "seed", "error"]
+SCHEMA_VERSION = 2
+CELL_KEY = ["family", "n", "param", "seed"]
+CSV_COLUMNS = ["schema_version", *CELL_KEY, "lcc_n", "lcc_m", "pair",
+               "coefficient", "value", "wall_ms"]
+PLOT_COLUMNS = [*CELL_KEY, "pair", "coefficient", "value"]
+ERROR_COLUMNS = [*CELL_KEY, "error"]
 NODE_MEASURES = ("dc", "bc", "cl", "cc")
 COEFFICIENTS = ("pearson", "spearman", "kendall")
 
@@ -62,7 +63,6 @@ class ExperimentRecord:
     coefficient: str
     value: float | None
     wall_ms: float                      # whole-cell wall time
-    stage_wall_ms: dict[str, float] = field(default_factory=dict)
 
     def csv_row(self) -> list:
         return [SCHEMA_VERSION, self.family, self.n, self.param, self.seed,
@@ -87,17 +87,19 @@ class ExperimentConfig:
     kpath: KpathConfig = field(default_factory=KpathConfig)
     all_pairs: bool = False
 
+    def __post_init__(self):
+        for section in _SEEDED:
+            if seed := getattr(self, section).seed:
+                raise ValueError(f"config key {section}.seed must be 0 (the "
+                                 f"seed is derived per cell), got {seed}")
+
     def cells(self) -> list[tuple[str, float, int]]:
         """(family, param, cell_seed) triples in deterministic order."""
-        out = []
-        for family, params in (("SF", self.sf_m), ("SW", self.sw_k),
-                               ("ER", self.er_p)):
-            for param in params:
-                for i in range(self.seeds_per_cell):
-                    cell_seed = derive_seed(self.base_seed,
-                                            f"{family}:{param!r}:{i}")
-                    out.append((family, param, cell_seed))
-        return out
+        return [(family, param,
+                 derive_seed(self.base_seed, f"{family}:{param!r}:{i}"))
+                for family, params in (("SF", self.sf_m), ("SW", self.sw_k),
+                                       ("ER", self.er_p))
+                for param in params for i in range(self.seeds_per_cell)]
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -113,7 +115,11 @@ class ExperimentConfig:
         d = _checked(cls, d, "")
         for key, sub in (("got", GotConfig), ("kpath", KpathConfig)):
             if key in d:
-                d[key] = sub(**_checked(sub, d[key], key))
+                checked = _checked(sub, d[key], key)
+                try:
+                    d[key] = sub(**checked)
+                except ValueError as exc:  # a message led by the field name
+                    raise ValueError(f"config key {key}.{exc}") from None
         return cls(**d)
 
     @classmethod
@@ -193,8 +199,6 @@ _VALUE_TYPES = {
         (("thieves_per_node",), _is_int, "an integer"),
         (("vdiamonds_per_node", "epochs"), _is_int_or_null,
          "an integer or null"),
-        (("log_base", "mean_convention"), lambda v: isinstance(v, str),
-         "a string"),
     ),
     "kpath": (
         (("k",), _is_int, "an integer"),
@@ -214,8 +218,9 @@ def run_cell(family: str, n: int, param: float, seed: int,
              kpath_cfg: KpathConfig | None = None,
              sf_triangle_p: float = 0.3,
              sw_shortcut_p: float = 0.6,
-             all_pairs: bool = False) -> list[ExperimentRecord]:
-    """Run one experiment cell; returns its 15 records (more with all_pairs).
+             all_pairs: bool = False) -> tuple[list[ExperimentRecord], dict]:
+    """Run one experiment cell; returns its 15 records (more with all_pairs)
+    and the wall time of each stage in ms.
 
     Raises CellError (with full cell context) on any stage failure; a failed
     cell produces no partial records.
@@ -225,9 +230,9 @@ def run_cell(family: str, n: int, param: float, seed: int,
     stage_ms: dict[str, float] = {}
     cell_t0 = time.perf_counter()
 
-    def _timed(tag, fn):
+    def _timed(tag, fn, *args):
         t0 = time.perf_counter()
-        result = fn()
+        result = fn(*args)
         stage_ms[tag] = (time.perf_counter() - t0) * 1000.0
         return result
 
@@ -235,21 +240,18 @@ def run_cell(family: str, n: int, param: float, seed: int,
         spec = _generator_spec(family, n, param, derive_seed(seed, "gen"),
                                sf_triangle_p, sw_shortcut_p)
         g = _timed("gen", spec.generate)
-        lcc, _ = _timed("lcc", lambda: largest_connected_component(g))
+        lcc, _ = _timed("lcc", largest_connected_component, g)
         if lcc.n < 2 or lcc.m == 0:
             raise ValueError(
                 f"largest connected component is degenerate "
                 f"(n={lcc.n}, m={lcc.m}); nothing to measure")
-        node_scores = {
-            "dc": _timed("dc", lambda: degree_centrality(lcc)),
-            "bc": _timed("bc", lambda: betweenness_centrality(lcc)),
-            "cl": _timed("cl", lambda: closeness_centrality(lcc)),
-            "cc": _timed("cc", lambda: clustering_coefficient(lcc)),
-        }
-        got_res = _timed("got", lambda: run_got(
-            lcc, replace(got_cfg, seed=derive_seed(seed, "got"))))
-        kpath_scores = _timed("kpath", lambda: werw_kpath(
-            lcc, replace(kpath_cfg, seed=derive_seed(seed, "kpath"))))
+        node_scores = {name: _timed(name, fn, lcc) for name, fn in zip(
+            NODE_MEASURES, (degree_centrality, betweenness_centrality,
+                            closeness_centrality, clustering_coefficient))}
+        got_res = _timed("got", run_got, lcc,
+                         replace(got_cfg, seed=derive_seed(seed, "got")))
+        kpath_scores = _timed("kpath", werw_kpath, lcc,
+                              replace(kpath_cfg, seed=derive_seed(seed, "kpath")))
     except Exception as exc:
         raise CellError(f"family={family} n={n} param={param} seed={seed}: "
                         f"{exc}") from exc
@@ -268,27 +270,30 @@ def run_cell(family: str, n: int, param: float, seed: int,
     total_ms = (time.perf_counter() - cell_t0) * 1000.0
     return [ExperimentRecord(family=family, n=n, param=param, seed=seed,
                              lcc_n=lcc.n, lcc_m=lcc.m, pair=pair_name,
-                             coefficient=coeff, value=value, wall_ms=total_ms,
-                             stage_wall_ms=dict(stage_ms))
+                             coefficient=coeff, value=value, wall_ms=total_ms)
             for (pair_name, _, _), res in zip(pairs, results)
-            for coeff, value in zip(COEFFICIENTS, (res.r, res.rho, res.tau))]
+            for coeff, value in zip(COEFFICIENTS,
+                                    (res.r, res.rho, res.tau))], stage_ms
 
 
-def _run_cell_task(args) -> tuple[list[ExperimentRecord], dict | None]:
-    """One cell's (records, None), or ([], its error entry) if it failed."""
+def _run_cell_task(args) -> tuple[list[ExperimentRecord], dict]:
+    """One cell's records and its entry: the cell key with its stage
+    timings, or with its error (and no records) if it failed."""
+    entry = dict(zip(CELL_KEY, args[:4]))
     try:
-        return run_cell(*args), None
+        records, entry["stage_wall_ms"] = run_cell(*args)
     except CellError as exc:
-        return [], dict(zip(ERROR_COLUMNS, (*args[:4], str(exc))))
+        records, entry["error"] = [], str(exc)
+    return records, entry
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir,
                    workers: int = 1) -> tuple[list[ExperimentRecord], list[dict]]:
     """Run every cell of the matrix and write all report files.
 
-    Returns (records, errors). Cell failures become error entries; the run
-    continues past them. With ``workers`` > 1 the cells run in a process
-    pool; the records and errors come back in cell order either way.
+    Returns (records, errors), errors being the failed cells' entries; the
+    run continues past them. With ``workers`` > 1 the cells run in a process
+    pool; records and entries come back in cell order either way.
     """
     cells = cfg.cells()
     if not cells:
@@ -296,26 +301,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     tasks = [(family, cfg.n, param, seed, cfg.got, cfg.kpath,
               cfg.sf_triangle_p, cfg.sw_shortcut_p, cfg.all_pairs)
              for family, param, seed in cells]
-    records: list[ExperimentRecord] = []
-    errors: list[dict] = []
     if workers > 1:  # a serial run does not pay the pool's import
         from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        for cell_records, error in (pool.map if pool else map)(_run_cell_task,
-                                                               tasks):
-            records.extend(cell_records)
-            if error is not None:
-                errors.append(error)
+        done = list((pool.map if pool else map)(_run_cell_task, tasks))
+    records = [rec for cell_records, _ in done for rec in cell_records]
+    entries = [entry for _, entry in done]
+    errors = [entry for entry in entries if "error" in entry]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(records, out / "report.csv")
-    write_json_report(cfg, records, errors, out / "report.json")
+    write_json_report(cfg, records, entries, out / "report.json")
     for coeff in COEFFICIENTS:
         write_plot_data(records, coeff, out / f"plot_{coeff}.csv")
     if errors:
-        write_error_csv(errors, out / "errors.csv")
+        _write_csv(out / "errors.csv", ERROR_COLUMNS,
+                   ([err[c] for c in ERROR_COLUMNS] for err in errors))
     return records, errors
 
 
@@ -336,11 +339,12 @@ def write_csv_report(records: list[ExperimentRecord], path) -> None:
     _write_csv(path, CSV_COLUMNS, (rec.csv_row() for rec in records))
 
 
-def write_json_report(cfg: ExperimentConfig, records, errors, path) -> None:
+def write_json_report(cfg: ExperimentConfig, records, cells, path) -> None:
+    """The config, the records and one entry per cell (see _run_cell_task)."""
     _write_json(path, {"schema_version": SCHEMA_VERSION,
                        "config": cfg.to_dict(),
                        "records": [asdict(r) for r in records],
-                       "errors": errors})
+                       "cells": cells})
 
 
 def write_plot_data(records: list[ExperimentRecord], coefficient: str, path) -> None:
@@ -350,8 +354,3 @@ def write_plot_data(records: list[ExperimentRecord], coefficient: str, path) -> 
     _write_csv(path, PLOT_COLUMNS, ([rec.csv_row()[i] for i in keep]
                                     for rec in records
                                     if rec.coefficient == coefficient))
-
-
-def write_error_csv(errors: list[dict], path) -> None:
-    _write_csv(path, ERROR_COLUMNS,
-               ([err[c] for c in ERROR_COLUMNS] for err in errors))

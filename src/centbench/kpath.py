@@ -80,6 +80,10 @@ class KpathConfig:
     rho: int | None = None  # walk count; None resolves to 8m
     seed: int = 0
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+
     def resolve(self, m: int) -> tuple[int, int]:
         """Concrete (k, rho) for a graph with m edges.
 
@@ -87,10 +91,9 @@ class KpathConfig:
         every slot at least one walk: rho < 2m raises ValueError.
         """
         rho = self.rho if self.rho is not None else 8 * m
-        if self.k < 1 or rho < 2 * m:
-            raise ValueError(f"need k >= 1 and rho >= 2m (one walk per "
-                             f"adjacency slot), got k={self.k}, rho={rho}, "
-                             f"m={m}")
+        if rho < 2 * m:
+            raise ValueError(f"need rho >= 2m (one walk per adjacency slot), "
+                             f"got rho={rho}, m={m}")
         return self.k, rho
 
 

@@ -57,7 +57,11 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def pearson(a, b) -> float:
     """Pearson's r: covariance over the product of standard deviations."""
-    av, bv = _check_pair(a, b)
+    return _pearson(*_check_pair(a, b))
+
+
+def _pearson(av: np.ndarray, bv: np.ndarray) -> float:
+    """Pearson's r of a checked pair."""
     da = av - av.mean()
     db = bv - bv.mean()
     # the rounded mean can sit a sizeable fraction of the spread off centre
@@ -91,21 +95,24 @@ def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, runs
 
 
+def _fractional(ranks) -> np.ndarray:
+    """1-based fractional ranks from ``_dense_ranks``: a run of t ties ending
+    at sorted position e holds the ranks e-t+1..e, whose mean is e - (t-1)/2."""
+    dense, runs = ranks
+    return (np.cumsum(runs) - (runs - 1) / 2.0)[dense]
+
+
 def rank_with_ties(a) -> np.ndarray:
     """Ascending fractional ranks (1-based); ties get the average rank.
 
     Example: (5, 5, 7) ranks as (1.5, 1.5, 3).
     """
-    dense, runs = _dense_ranks(_as_sample(a, "a"))
-    # a run of t ties ending at one-based sorted position e holds the ranks
-    # e-t+1..e, whose mean is e - (t-1)/2
-    return (np.cumsum(runs) - (runs - 1) / 2.0)[dense]
+    return _fractional(_dense_ranks(_as_sample(a, "a")))
 
 
 def spearman(a, b) -> float:
     """Spearman's rho: Pearson's r between the rank vectors."""
-    av, bv = _check_pair(a, b)
-    return pearson(rank_with_ties(av), rank_with_ties(bv))
+    return _pearson(*map(_fractional, map(_dense_ranks, _check_pair(a, b))))
 
 
 def _count_inversions(ranks: np.ndarray) -> int:
@@ -130,34 +137,32 @@ def _count_inversions(ranks: np.ndarray) -> int:
     return count
 
 
-def concordant_discordant(a, b) -> tuple[int, int]:
-    """Exact concordant/discordant pair counts in O(s log s).
+def _kendall(ranks_a, ranks_b) -> tuple[float, int, int]:
+    """Kendall's tau-a with its exact concordant and discordant pair counts
+    s_c and s_d, in O(s log s), from the two vectors' ``_dense_ranks``.
 
     Sort by (a, b); after that every strict descent in b across an a-strict
     pair is a discordant pair, and b is non-decreasing inside each tied-a
     run, so the inversion count of the permuted b gives s_d exactly.
     """
-    av, bv = _check_pair(a, b)
-    s = av.size
-    rank_a, runs_a = _dense_ranks(av)
-    rank_b, runs_b = _dense_ranks(bv)
+    (rank_a, runs_a), (rank_b, runs_b) = ranks_a, ranks_b
+    s = rank_a.size
     joint = np.sort(rank_a * s + rank_b)
     ties_a, ties_b, ties_joint = (int((r * (r - 1) // 2).sum())
                                   for r in (runs_a, runs_b, _runs(joint)))
     s_d = _count_inversions(joint % s)
-    return s * (s - 1) // 2 - ties_a - (ties_b - ties_joint) - s_d, s_d
-
-
-def _tau_a(av: np.ndarray, bv: np.ndarray) -> tuple[float, int, int]:
-    """Kendall's tau-a of a checked pair, with its s_c and s_d."""
-    s_c, s_d = concordant_discordant(av, bv)
-    s = av.size
+    s_c = s * (s - 1) // 2 - ties_a - (ties_b - ties_joint) - s_d
     return (s_c - s_d) / (s * (s - 1) / 2), s_c, s_d
+
+
+def concordant_discordant(a, b) -> tuple[int, int]:
+    """Exact concordant and discordant pair counts (s_c, s_d), O(s log s)."""
+    return _kendall(*map(_dense_ranks, _check_pair(a, b)))[1:]
 
 
 def kendall(a, b) -> float:
     """Kendall's tau-a: (s_c - s_d) / (s(s-1)/2)."""
-    return _tau_a(*_check_pair(a, b))[0]
+    return _kendall(*map(_dense_ranks, _check_pair(a, b)))[0]
 
 
 @dataclass(frozen=True)
@@ -176,14 +181,15 @@ class CorrelationResult:
 
 
 def correlate(a, b) -> CorrelationResult:
-    """Compute Pearson, Spearman, and Kendall together for a sample pair."""
+    """Compute Pearson, Spearman, and Kendall together for a sample pair,
+    checking the pair once and ranking each vector once."""
     try:
         av, bv = _check_pair(a, b)
     except ConstantInputError:
         return CorrelationResult(r=None, rho=None, tau=None,
                                  s_c=None, s_d=None, degenerate=True)
-    r = pearson(av, bv)
-    rho = spearman(av, bv)
-    tau, s_c, s_d = _tau_a(av, bv)
-    return CorrelationResult(r=r, rho=rho, tau=tau, s_c=s_c, s_d=s_d,
-                             degenerate=False)
+    ranks = [_dense_ranks(av), _dense_ranks(bv)]
+    tau, s_c, s_d = _kendall(*ranks)
+    return CorrelationResult(r=_pearson(av, bv),
+                             rho=_pearson(*map(_fractional, ranks)),
+                             tau=tau, s_c=s_c, s_d=s_d, degenerate=False)

@@ -133,6 +133,25 @@ class TestGotAndKpath:
         want = werw_kpath(g, KpathConfig(k=3, rho=600, seed=2))
         assert np.array_equal(read_scores(out), want)
 
+    def test_lcc_and_default_seeds(self, tmp_path):
+        # K5 plus a separate edge: both estimators take --lcc, and with no
+        # --seed they run with the config classes' default seeds (K5's
+        # k-path estimate at k=3 depends on the seed, unlike a cycle's)
+        from centbench import largest_connected_component, run_got, werw_kpath
+        path = tmp_path / "two.edges"
+        path.write_text("".join(f"{u} {v}\n" for u in range(5)
+                                for v in range(u + 1, 5)) + "5 6\n")
+        phi, kp = tmp_path / "phi.txt", tmp_path / "kp.txt"
+        assert run_cli("got", "--graph", str(path), "--lcc", "--epochs", "15",
+                       "--node-out", str(phi)) == 0
+        assert run_cli("kpath", "--graph", str(path), "--lcc", "--k", "3",
+                       "--out", str(kp)) == 0
+        g, _ = largest_connected_component(read_edge_list(path))
+        assert g.n == 5
+        assert np.array_equal(read_scores(phi),
+                              run_got(g, GotConfig(epochs=15)).phi)
+        assert np.array_equal(read_scores(kp), werw_kpath(g, KpathConfig(k=3)))
+
 
 class TestCorrelate:
     def test_correlate_json(self, tmp_path, capsys):
@@ -274,6 +293,27 @@ class TestErrors:
                        "--out-dir", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"centbench: error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, message", [
+        ({"got": {"log_base": "3"}},
+         "config key got.log_base must be one of ('e', '2', '10'), got '3'"),
+        ({"got": {"mean_convention": "mean"}},
+         "config key got.mean_convention must be one of "
+         "('per-epoch', 'arithmetic'), got 'mean'"),
+        ({"got": {"vdiamonds_per_node": 0}},
+         "config key got.vdiamonds_per_node must be at least 1, got 0"),
+        ({"kpath": {"k": 0}}, "config key kpath.k must be at least 1, got 0"),
+    ])
+    def test_bad_shared_setting_exits_two_before_any_cell(
+            self, tmp_path, capsys, section, message):
+        # shared by every cell, so the run ends before the first one starts
+        code, out_dir = run_config(tmp_path, {"n": 300, "sf_m": [3],
+                                              "er_p": [0.05], **section})
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"centbench: error: {message}\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("family, name", [("sf", "m"), ("sw", "k")])
     def test_gen_fractional_parameter(self, capsys, family, name):

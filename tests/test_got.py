@@ -480,3 +480,18 @@ class TestConfig:
             GotConfig(log_base="3").resolve(10)
         with pytest.raises(ValueError):
             GotConfig(mean_convention="median").resolve(10)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": 0}, "epochs must be at least 1, got 0"),
+        ({"thieves_per_node": 0}, "thieves_per_node must be at least 1, got 0"),
+        ({"vdiamonds_per_node": -1},
+         "vdiamonds_per_node must be at least 1, got -1"),
+        ({"log_base": "3"}, "log_base must be one of ('e', '2', '10'), got '3'"),
+        ({"mean_convention": "median"}, "mean_convention must be one of "
+         "('per-epoch', 'arithmetic'), got 'median'"),
+    ])
+    def test_invalid_fields_rejected_when_built(self, kwargs, message):
+        # no graph is needed to see these, so they fail before any run
+        with pytest.raises(ValueError) as err:
+            GotConfig(**kwargs)
+        assert str(err.value) == message

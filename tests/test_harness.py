@@ -12,13 +12,16 @@ from centbench.rng import derive_seed
 
 FAST_GOT = GotConfig(epochs=40)
 FAST_KPATH = KpathConfig(k=5)
+STAGES = {"gen", "lcc", "dc", "bc", "cl", "cc", "got", "kpath", "corr"}
 
 
 class TestRunCell:
     def test_sf_cell_produces_15_full_records(self):
-        records = run_cell("SF", 200, 5, seed=1, got_cfg=FAST_GOT,
-                           kpath_cfg=FAST_KPATH)
+        records, stage_ms = run_cell("SF", 200, 5, seed=1, got_cfg=FAST_GOT,
+                                     kpath_cfg=FAST_KPATH)
         assert len(records) == 15
+        assert set(stage_ms) == STAGES
+        assert all(ms >= 0.0 for ms in stage_ms.values())
         pairs = {r.pair for r in records}
         assert pairs == {"got_node_vs_dc", "got_node_vs_bc", "got_node_vs_cl",
                          "got_node_vs_cc", "got_edge_vs_kpath"}
@@ -33,17 +36,17 @@ class TestRunCell:
             run_cell("ER", 200, 0.0, seed=1)
 
     def test_deterministic_modulo_wall_time(self):
-        a = run_cell("ER", 120, 0.05, seed=9, got_cfg=FAST_GOT,
-                     kpath_cfg=FAST_KPATH)
-        b = run_cell("ER", 120, 0.05, seed=9, got_cfg=FAST_GOT,
-                     kpath_cfg=FAST_KPATH)
+        a, _ = run_cell("ER", 120, 0.05, seed=9, got_cfg=FAST_GOT,
+                        kpath_cfg=FAST_KPATH)
+        b, _ = run_cell("ER", 120, 0.05, seed=9, got_cfg=FAST_GOT,
+                        kpath_cfg=FAST_KPATH)
         strip = lambda r: (r.family, r.n, r.param, r.seed, r.lcc_n, r.lcc_m,
                            r.pair, r.coefficient, r.value)
         assert [strip(r) for r in a] == [strip(r) for r in b]
 
     def test_all_pairs_flag_adds_exact_cross_correlations(self):
-        records = run_cell("SW", 60, 4, seed=2, got_cfg=FAST_GOT,
-                           kpath_cfg=FAST_KPATH, all_pairs=True)
+        records, _ = run_cell("SW", 60, 4, seed=2, got_cfg=FAST_GOT,
+                              kpath_cfg=FAST_KPATH, all_pairs=True)
         assert len(records) == 15 + 6 * 3
         assert any(r.pair == "dc_vs_bc" for r in records)
 
@@ -107,7 +110,8 @@ class TestExperimentConfig:
          r"^config key got\.vdiamonds_per_node must be an integer or null, "
          r"got True$"),
         ({"n": 50, "got": {"log_base": 10}},
-         r"^config key got\.log_base must be a string, got 10$"),
+         r"^config key got\.log_base must be one of \('e', '2', '10'\), "
+         r"got 10$"),
         ({"n": 50, "kpath": {"k": "3"}},
          r"^config key kpath\.k must be an integer, got '3'$"),
         ({"n": 50, "kpath": {"rho": 2.0}},
@@ -122,6 +126,21 @@ class TestExperimentConfig:
          r"^config key seeds_per_cell must be at least 1, got -1$"),
         ({"n": 50, "sf_m": [2], "got": {"seed": 7}},
          r"^unknown config key\(s\): got\.seed$"),
+        # checks that need no graph, made when the section is built
+        ({"n": 50, "got": {"log_base": "3"}},
+         r"^config key got\.log_base must be one of \('e', '2', '10'\), "
+         r"got '3'$"),
+        ({"n": 50, "got": {"mean_convention": "median"}},
+         r"^config key got\.mean_convention must be one of "
+         r"\('per-epoch', 'arithmetic'\), got 'median'$"),
+        ({"n": 50, "got": {"thieves_per_node": 0}},
+         r"^config key got\.thieves_per_node must be at least 1, got 0$"),
+        ({"n": 50, "got": {"vdiamonds_per_node": -2}},
+         r"^config key got\.vdiamonds_per_node must be at least 1, got -2$"),
+        ({"n": 50, "got": {"epochs": 0}},
+         r"^config key got\.epochs must be at least 1, got 0$"),
+        ({"n": 50, "kpath": {"k": 0}},
+         r"^config key kpath\.k must be at least 1, got 0$"),
     ])
     def test_from_dict_names_bad_keys(self, d, message):
         with pytest.raises(ValueError, match=message):
@@ -136,6 +155,16 @@ class TestExperimentConfig:
         assert cfg.sf_m == [5.0]
         assert cfg.got == GotConfig(log_base="2")
         assert cfg.kpath == KpathConfig(k=3)
+
+    @pytest.mark.parametrize("section, value, key", [
+        ("got", GotConfig(seed=7), "got.seed"),
+        ("kpath", KpathConfig(seed=123), "kpath.seed"),
+        ("got", GotConfig(seed=-1), "got.seed"),
+    ])
+    def test_python_config_rejects_a_seed_run_cell_would_ignore(
+            self, section, value, key):
+        with pytest.raises(ValueError, match=rf"^config key {key} must be 0"):
+            ExperimentConfig(n=60, sf_m=[2], **{section: value})
 
 
 class TestRunExperiment:
@@ -161,13 +190,13 @@ class TestRunExperiment:
         assert all(row[0] == str(SCHEMA_VERSION) for row in rows[1:])
 
         doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["schema_version"] == SCHEMA_VERSION
+        assert list(doc) == ["schema_version", "config", "records", "cells"]
+        assert doc["schema_version"] == SCHEMA_VERSION == 2
         assert len(doc["records"]) == len(records)
-        assert doc["errors"] == errors
+        assert all(list(r) == CSV_COLUMNS[1:] for r in doc["records"])
+        assert [c for c in doc["cells"] if "error" in c] == errors
         assert doc["config"]["n"] == 80
-        stage_keys = set(doc["records"][0]["stage_wall_ms"])
-        assert {"gen", "lcc", "dc", "bc", "cl", "cc", "got",
-                "kpath", "corr"} <= stage_keys
+        assert set(doc["cells"][0]["stage_wall_ms"]) == STAGES
 
         for coeff in ("pearson", "spearman", "kendall"):
             with open(tmp_path / f"plot_{coeff}.csv", newline="") as fh:
@@ -186,12 +215,36 @@ class TestRunExperiment:
                                kpath=KpathConfig(k=3))
         serial = run_experiment(cfg, tmp_path / "one", workers=1)
         pooled = run_experiment(cfg, tmp_path / "two", workers=2)
-        untimed = lambda r: replace(r, wall_ms=0.0, stage_wall_ms={})
+        untimed = lambda r: replace(r, wall_ms=0.0)
         for records, errors in (serial, pooled):
             assert len(records) == 2 * 15
             assert len(errors) == 1 and errors[0]["param"] == 0.0
         assert pooled[1] == serial[1]
         assert [untimed(r) for r in pooled[0]] == [untimed(r) for r in serial[0]]
+        cells = [[{k: v for k, v in c.items() if k != "stage_wall_ms"}
+                  for c in json.loads((out / "report.json").read_text())["cells"]]
+                 for out in (tmp_path / "one", tmp_path / "two")]
+        assert cells[0] == cells[1]
+        assert len(cells[0]) == 3
+
+    def test_one_cells_entry_per_cell_in_order(self, tmp_path):
+        cfg = ExperimentConfig(n=60, er_p=[0.0, 0.1], base_seed=5,
+                               got=GotConfig(epochs=10),
+                               kpath=KpathConfig(k=3))
+        records, errors = run_experiment(cfg, tmp_path)
+        cells = json.loads((tmp_path / "report.json").read_text())["cells"]
+        assert len(cells) == 2
+        assert [(c["family"], c["n"], c["param"], c["seed"]) for c in cells] \
+            == [("ER", 60, param, seed) for _, param, seed in cfg.cells()]
+        failed, finished = cells
+        assert set(failed) == {"family", "n", "param", "seed", "error"}
+        assert "degenerate" in failed["error"]
+        assert errors == [failed]
+        assert set(finished) == {"family", "n", "param", "seed",
+                                 "stage_wall_ms"}
+        assert set(finished["stage_wall_ms"]) == STAGES
+        assert len(records) == 15
+        assert all(r.param == 0.1 for r in records)
 
     def test_csv_values_parse_back_exactly(self, tmp_path):
         cfg = ExperimentConfig(n=60, er_p=[0.1], base_seed=1,

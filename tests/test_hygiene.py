@@ -6,12 +6,16 @@ rule), no module imports from the test suite or its references, and every
 module-level private function or class is used somewhere in the library
 outside its own definition (a use from the tests alone does not count).
 The generators draw through ``rng._Draws`` and never call numpy's
-``Generator`` once per draw.
+``Generator`` once per draw. An experiment record holds the report CSV's
+columns and nothing else.
 """
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from centbench.harness import CSV_COLUMNS, ExperimentRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "centbench"
 MODULES = sorted(SRC.glob("*.py"))
@@ -98,3 +102,8 @@ def test_generators_make_no_per_draw_generator_call():
     assert not bad, f"generators.py draws from a numpy Generator: {bad}"
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not names & {"make_rng", "default_rng", "Generator"}
+
+
+def test_record_fields_are_the_report_columns():
+    # per-cell data such as stage timings belongs in report.json's cells
+    assert [f.name for f in fields(ExperimentRecord)] == CSV_COLUMNS[1:]

@@ -56,6 +56,12 @@ class TestWerwKpath:
         with pytest.raises(ValueError):
             werw_kpath(path_graph(3), KpathConfig(rho=0))
 
+    def test_k_below_one_rejected_when_built(self):
+        for k in (0, -2):
+            with pytest.raises(ValueError) as err:
+                KpathConfig(k=k)
+            assert str(err.value) == f"k must be at least 1, got {k}"
+
     def test_rho_below_slot_count_rejected(self):
         # rho < 2m walks would leave some adjacency slots without any
         with pytest.raises(ValueError, match="rho >= 2m"):

@@ -209,6 +209,30 @@ class TestCorrelate:
         assert res.degenerate
         assert res.r is None and res.rho is None and res.tau is None
 
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=150).filter(
+        lambda v: len(set(v)) > 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_single_coefficients_bit_for_bit(self, a, data):
+        b = data.draw(st.lists(st.floats(-5, 5), min_size=len(a),
+                               max_size=len(a)).filter(lambda v: len(set(v)) > 1))
+        res = correlate(a, b)
+        assert res.r == pearson(a, b)
+        assert res.rho == spearman(a, b) == pearson(rank_with_ties(a),
+                                                    rank_with_ties(b))
+        assert res.tau == kendall(a, b)
+        assert (res.s_c, res.s_d) == concordant_discordant(a, b)
+
+    def test_checks_once_and_ranks_each_vector_once(self, monkeypatch):
+        import centbench.stats as stats
+        calls = {"_check_pair": 0, "_dense_ranks": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(stats, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(stats, name, counted)
+        correlate([3.0, 1.0, 2.0, 2.0], [1.0, 1.0, 5.0, 4.0])
+        assert calls == {"_check_pair": 1, "_dense_ranks": 2}
+
 
 def test_against_scipy_on_untied_data(np_rng):
     scipy_stats = pytest.importorskip("scipy.stats")
