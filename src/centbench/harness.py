@@ -88,6 +88,9 @@ class ExperimentConfig:
     all_pairs: bool = False
 
     def __post_init__(self):
+        if self.seeds_per_cell < 1:
+            raise ValueError(f"config key seeds_per_cell must be at least 1, "
+                             f"got {self.seeds_per_cell!r}")
         for section in _SEEDED:
             if seed := getattr(self, section).seed:
                 raise ValueError(f"config key {section}.seed must be 0 (the "
@@ -186,7 +189,6 @@ def _is_list_of(ok):
 _VALUE_TYPES = {
     "": (
         (("n", "seeds_per_cell", "base_seed"), _is_int, "an integer"),
-        (("seeds_per_cell",), lambda v: v >= 1, "at least 1"),
         (("sf_m", "sw_k", "er_p"), _is_list_of(_is_number),
          "a list of numbers"),
         (("sf_m", "sw_k"),

@@ -32,10 +32,16 @@ neighbour order, r = floor(u * adm), clamped to adm - 1 against rounding,
 from a uniform double u. Since u takes 2^53 equally spaced values, each r
 is hit with probability within 2^-53 of 1/adm. The r-th admissible slot is
 found from the node's first slot by skipping the trail edges' slots there,
-in ascending order. Each block of W walks draws its uniforms as one
-``rng.random((W, k - 2))`` in walk order, and a walk that dies (adm = 0)
-still consumes its row, so any chunking of the walks draws the same
-numbers as one draw for all of them.
+in ascending order. A trail edge other than the last one can touch the
+current node only if the walk has been there before, so one compare of the
+node with the walk's earlier path finds the walks that came back. Only
+those list and sort the slots of their trail edges; every other walk has
+adm = degree - 1 and skips the one slot it came in by. The same test finds
+the trail edges at a walk's end node. Each block of W walks draws its
+uniforms as one ``rng.random((W, k - 2))`` in walk order, and a walk that
+dies (adm = 0) still consumes its row, so any chunking of the walks draws
+the same numbers as one draw for all of them. The block's walk state is
+stored step-major, one row per step, so a step reads and writes whole rows.
 
 Budget. Each source's ratio of two sampled masses is a ratio estimator,
 biased by O(1/walks) (Cochran, *Sampling Techniques*, ch. 6). Rather than
@@ -149,7 +155,7 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
         state = rng.bit_generator.state
         held = []
         for slot, walks in chunks():
-            np.add.at(slot_mass, slot, walks.suffix[:, 0])
+            np.add.at(slot_mass, slot, walks.suffix[0])
             if walk_slot.size <= BLOCK_WALKS:
                 held.append((slot, walks))
         source_mass = np.bincount(owner[first:last] - lo,
@@ -159,16 +165,15 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
             rng.bit_generator.state = state
             held = chunks()
         for slot, walks in held:
-            total = source_mass[owner[slot] - lo][:, None]
-            cls = (slot < extra)[:, None]
+            total = source_mass[owner[slot] - lo]
+            cls = slot < extra
             on = walks.trail >= 0
             add(trail_acc, (walks.trail + g.m * cls)[on],
                 (walks.suffix / total)[on])
-            ended, at_end = walks.complete, walks.at_end
-            tail = walks.last_weight / total[ended, 0]
-            add(node_acc, walks.end + g.n * cls[ended, 0], tail)
-            add(back_acc, (walks.trail[ended] + g.m * cls[ended])[at_end],
-                np.broadcast_to(tail[:, None], at_end.shape)[at_end])
+            ended, at = walks.complete, walks.end_walk
+            tail = walks.last_weight / total[ended]
+            add(node_acc, walks.end + g.n * cls[ended], tail)
+            add(back_acc, walks.end_edge + g.m * cls[ended[at]], tail[at])
         lo = hi
 
     node_acc = node_acc.reshape(2, 2, g.n)
@@ -181,22 +186,13 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
 
 @dataclass
 class _Walks:
-    trail: np.ndarray        # (W, L) edge ids in walk order, -1 past a death
-    suffix: np.ndarray       # (W, L) mass of the trail prefixes through each edge
+    trail: np.ndarray        # (L, W) edge ids in walk order, -1 past a death
+    suffix: np.ndarray       # (L, W) mass of the trail prefixes through each edge
     complete: np.ndarray     # ids of the walks that reached length L, if k >= 2
     end: np.ndarray          # their end nodes
     last_weight: np.ndarray  # their importance weights at length L
-    at_end: np.ndarray       # (complete, L) their trail edges at the end node
-
-
-def _incident(path: np.ndarray, leave: np.ndarray,
-              enter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which trail edges touch each walk's current node ``path[:, -1]``,
-    and their slots in its row (``_NO_SLOT`` for the others)."""
-    here = path[:, -1:]
-    out = path[:, :-1] == here
-    back = path[:, 1:] == here
-    return out | back, np.where(out, leave, np.where(back, enter, _NO_SLOT))
+    end_walk: np.ndarray     # the trail edges at their end node: the walk's
+    end_edge: np.ndarray     # position in complete, and the edge id
 
 
 def _walks(g: Graph, twin: np.ndarray, k: int, slot: np.ndarray,
@@ -204,46 +200,68 @@ def _walks(g: Graph, twin: np.ndarray, k: int, slot: np.ndarray,
     """Step the walks that start on ``slot``, all at once."""
     length = max(k - 1, 1)
     w = slot.size
-    draws = rng.random((w, max(k - 2, 0)))
-    # path[:, t] is the node before step t; the t-th trail edge sits in
-    # slot leave[:, t] of that node's row and enter[:, t] of the next one's
-    path = np.zeros((w, length + 1), dtype=np.int64)
-    leave = np.full((w, length), -1, dtype=np.int64)
-    enter = np.full((w, length), -1, dtype=np.int64)
-    leave[:, 0], enter[:, 0] = slot, twin[slot]
-    path[:, 0], path[:, 1] = g.adj[enter[:, 0]], g.adj[slot]
-    weight = np.zeros((w, length))
-    weight[:, 0] = 1.0
+    draws = rng.random((w, max(k - 2, 0))).T.copy()
+    # path[t] is the node before step t; the t-th trail edge sits in slot
+    # leave[t] of that node's row and twin[leave[t]] of the next one's
+    path = np.empty((length + 1, w), dtype=np.int64)
+    leave = np.full((length, w), -1, dtype=np.int64)
+    weight = np.zeros((length, w))
+    leave[0], weight[0] = slot, 1.0
+    # the live walks' current node, entry slot there, and weight
+    x, entered, wt = g.adj[slot], twin[slot], np.ones(w)
+    path[0], path[1] = g.adj[entered], x
     live = np.arange(w)
-    for j in range(1, length):
+    for j in range(1, length + 1):
         rows = live if live.size < w else slice(None)  # a view until a death
-        at, skip = _incident(path[rows, :j + 1], leave[rows, :j],
-                             enter[rows, :j])
-        x = path[rows, j]
-        adm = g.degrees[x] - at.sum(axis=1)
+        adm = g.degrees[x] - 1
+        # an earlier trail edge touches x only if the walk came back to x
+        back = np.flatnonzero((path[:j, rows] == x).any(axis=0))
+        if back.size:
+            ids = live[back]
+            # trail edge t joins path[t] and path[t + 1], so it leaves x
+            # where path[t] is x and enters x where path[t + 1] is, as the
+            # last one always does
+            out = path[:j, ids] == x[back]
+            at = out.copy()
+            at[:-1] |= out[1:]
+            at[-1] = True
+            touching = at.sum(axis=0)
+            adm[back] = g.degrees[x[back]] - touching
+        if j == length:  # the completions are added analytically
+            break
+        r = np.minimum((draws[j - 1, rows] * adm).astype(np.int64), adm - 1)
+        pick = g.indptr[x] + r
+        pick += entered <= pick
+        if back.size:
+            # skip the trail edges' slots in x's row, in ascending order
+            skip = np.where(out, leave[:j, ids],
+                            np.where(at, twin[leave[:j, ids]], _NO_SLOT))
+            skip.sort(axis=0)
+            hop = g.indptr[x[back]] + r[back]
+            for row in skip[:touching.max()]:
+                hop += row <= hop
+            pick[back] = hop
         ok = adm > 0
         if not ok.all():
-            live, x, skip, adm = live[ok], x[ok], skip[ok], adm[ok]
-        rows = live if live.size < w else slice(None)
-        r = np.minimum((draws[rows, j - 1] * adm).astype(np.int64), adm - 1)
-        pick = g.indptr[x] + r
-        skip.sort(axis=1)
-        for col in skip.T:
-            pick += col <= pick
-        leave[rows, j], enter[rows, j] = pick, twin[pick]
-        path[rows, j + 1] = g.adj[pick]
-        weight[rows, j] = weight[rows, j - 1] * adm
+            live, pick, adm, wt = live[ok], pick[ok], adm[ok], wt[ok]
+            rows = live
+        x, entered, wt = g.adj[pick], twin[pick], wt * adm
+        leave[j, rows], path[j + 1, rows], weight[j, rows] = pick, x, wt
 
-    tail = np.zeros(w)
-    if k >= 2:
-        at_end, _ = _incident(path[live], leave[live], enter[live])
-        end = path[live, length]
-        last_weight = weight[live, length - 1]
-        tail[live] = last_weight * (g.degrees[end] - at_end.sum(axis=1))
-    else:
-        live = end = last_weight = np.zeros(0, dtype=np.int64)
-        at_end = np.zeros((0, length), dtype=bool)
-    suffix = np.cumsum(np.column_stack([tail, weight[:, ::-1]]),
-                       axis=1)[:, :0:-1]
     trail = np.where(leave >= 0, g.adj_eids[leave], -1)
-    return _Walks(trail, suffix, live, end, last_weight, at_end)
+    tail = np.zeros(w)
+    if k == 1:  # no completions
+        live = x = wt = end_walk = end_edge = np.zeros(0, dtype=np.int64)
+    else:
+        tail[live] = wt * adm
+        end_walk, end_edge = np.arange(live.size), trail[-1, rows]
+        if back.size:
+            step, i = np.nonzero(at[:-1])
+            end_walk = np.concatenate([end_walk, back[i]])
+            end_edge = np.concatenate([end_edge, trail[step, ids[i]]])
+    # suffix[t] sums the tail and weight[t:], added from the end
+    suffix = weight
+    suffix[-1] += tail
+    for t in range(length - 2, -1, -1):
+        suffix[t] += suffix[t + 1]
+    return _Walks(trail, suffix, live, x, wt, end_walk, end_edge)

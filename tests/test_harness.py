@@ -166,6 +166,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=rf"^config key {key} must be 0"):
             ExperimentConfig(n=60, sf_m=[2], **{section: value})
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_python_config_rejects_a_seed_count_below_one(self, count):
+        # the same check and message as the JSON path, before run_experiment
+        # could read the empty cell list as empty parameter lists
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(n=50, sf_m=[2], seeds_per_cell=count)
+        assert str(err.value) == (f"config key seeds_per_cell must be at "
+                                  f"least 1, got {count}")
+
 
 class TestRunExperiment:
     def test_empty_config_rejected(self, tmp_path):

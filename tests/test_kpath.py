@@ -1,13 +1,17 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import centbench.kpath
-from centbench import (KpathConfig, build_graph, gen_holme_kim, spearman,
-                       werw_kpath)
+from centbench import (ExperimentConfig, KpathConfig, build_graph,
+                       derive_seed, gen_holme_kim, largest_connected_component,
+                       spearman, werw_kpath)
+from centbench.harness import _generator_spec
 
-from conftest import path_graph, random_connected_graph, star_graph
+from conftest import (complete_graph, path_graph,
+                      random_connected_graph, star_graph)
 from reference import oracle_kpath, werw_kpath_reference
 
 
@@ -152,7 +156,7 @@ class TestWerwKpath:
 
     def test_memory_bounded_on_criterion6_graph(self):
         # 400k walks in blocks of BLOCK_WALKS: the tracemalloc peak measured
-        # 12.7 MB, and the bound leaves about 25% headroom
+        # 12.65 MB, and the bound leaves about 25% headroom
         g = gen_holme_kim(10000, 5, 0.3, seed=606)
         tracemalloc.start()
         try:
@@ -161,6 +165,32 @@ class TestWerwKpath:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+# sha256 of werw_kpath (k = 10, default rho; float64, little-endian bytes)
+# on the largest connected component of each sparse desk-row cell, with the
+# cell's derived k-path seed, as run_cell computes it. Recorded with the
+# kernel that compared every walk's current node with its whole trail and
+# sorted a skip list for every walk at every step; this one must reproduce
+# them.
+DESK_DIGESTS = {
+    "SF": "2899c4eaf8d37c2510b16c5a3ef7948e3bfc462b4f30f3ea3c7e89b51801c654",
+    "SW": "97040bd1bf7ecb16da6da68bf4af5d05c66b2c33b47345958a49ba91caee0384",
+    "ER": "17aa9c710ec784f338d5d2478fb22df2ab768f2ed335bb70356b31a9aaa5de17",
+}
+
+
+def test_desk_scale_outputs_match_recorded_digests():
+    cfg = ExperimentConfig(n=1000, sf_m=[5], sw_k=[6], er_p=[0.01],
+                           base_seed=20240807)
+    digests = {}
+    for family, param, seed in cfg.cells():
+        spec = _generator_spec(family, cfg.n, param, derive_seed(seed, "gen"),
+                               cfg.sf_triangle_p, cfg.sw_shortcut_p)
+        lcc, _ = largest_connected_component(spec.generate())
+        scores = werw_kpath(lcc, KpathConfig(seed=derive_seed(seed, "kpath")))
+        digests[family] = hashlib.sha256(scores.tobytes()).hexdigest()
+    assert digests == DESK_DIGESTS
 
 
 def _reference_graphs():
@@ -173,6 +203,11 @@ def _reference_graphs():
     graphs["tree"] = build_graph([(i, int(rng.integers(i)))
                                   for i in range(1, 15)], 15)
     graphs["star"] = star_graph(6)
+    # trails come back to a node often here; on the bowtie (two triangles
+    # sharing node 2) a trail that comes back can find no edge left
+    graphs["K5"] = complete_graph(5)
+    graphs["bowtie"] = build_graph([(0, 1), (1, 2), (0, 2),
+                                    (2, 3), (3, 4), (2, 4)], 5)
     return graphs
 
 
