@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, is_connected
+from .graph import Graph, check_fields, is_connected, is_int, is_int_or_null
 from .rng import make_rng
 
 _LOGS = {"e": math.log, "2": math.log2, "10": math.log10}
@@ -72,9 +72,9 @@ def default_epochs(n: int, log_base: str = "e") -> int:
 class GotConfig:
     """Simulation parameters.
 
-    ``vdiamonds_per_node=None`` resolves to the node count and
-    ``epochs=None`` to ``default_epochs(n, log_base)`` when the simulation
-    starts, matching the customary settings for this game.
+    ``vdiamonds_per_node=None`` resolves to the node count and ``epochs=None``
+    to ``default_epochs(n, log_base)`` when the simulation starts, as is
+    customary for this game. A bad field raises ValueError led by its name.
     """
     thieves_per_node: int = 1
     vdiamonds_per_node: int | None = None
@@ -84,15 +84,15 @@ class GotConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, allowed in (("log_base", LOG_BASES),
-                              ("mean_convention", MEAN_CONVENTIONS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, "
-                                 f"got {getattr(self, name)!r}")
-        for name in ("thieves_per_node", "vdiamonds_per_node", "epochs"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        counts = ("thieves_per_node", "vdiamonds_per_node", "epochs")
+        check_fields(self, (
+            (("thieves_per_node", "seed"), is_int, "an integer"),
+            (("vdiamonds_per_node", "epochs"), is_int_or_null,
+             "an integer or null"),
+            (("log_base",), LOG_BASES.__contains__, f"one of {LOG_BASES}"),
+            (("mean_convention",), MEAN_CONVENTIONS.__contains__,
+             f"one of {MEAN_CONVENTIONS}"),
+            (counts, lambda v: v is None or v >= 1, "at least 1")))
 
     def resolve(self, n: int) -> tuple[int, int, int]:
         """Concrete (thieves_per_node, vdiamonds_per_node, epochs) for n nodes."""

@@ -16,12 +16,36 @@ them as read-only, which makes them safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 
 class GraphError(ValueError):
     """Invalid graph construction input (self-loop, bad id, duplicate edge)."""
+
+
+def is_int(v) -> bool:
+    """Any integer, numpy's included, but not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def is_int_or_null(v) -> bool:
+    return v is None or is_int(v)
+
+
+def is_number(v) -> bool:
+    """Any real number, numpy's included, but not a bool."""
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+def check_fields(obj, rules, prefix: str = "") -> None:
+    """Raise ValueError "<prefix><name> must be <kind>, got <value>" for the
+    first field failing its rule in ``rules``, (names, predicate, kind)."""
+    for names, ok, kind in rules:
+        for name in names:
+            if not ok(value := getattr(obj, name)):
+                raise ValueError(f"{prefix}{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True, repr=False)

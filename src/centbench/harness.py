@@ -32,7 +32,7 @@ from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
 from .generators import GeneratorSpec
 from .got import GotConfig, run_got
-from .graph import largest_connected_component
+from .graph import check_fields, is_int, is_number, largest_connected_component
 from .kpath import KpathConfig, werw_kpath
 from .rng import derive_seed
 from .stats import correlate
@@ -74,7 +74,9 @@ class ExperimentRecord:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment matrix; serializes 1:1 to the JSON config file, except
-    for the got and kpath seeds, which ``run_cell`` derives per cell."""
+    for the got and kpath seeds, which ``run_cell`` derives per cell. From
+    JSON or Python, a bad value raises ValueError naming its key, and a
+    parameter is stored as int (SF, SW) or float (ER): 5.0 runs as 5."""
     n: int
     sf_m: list[int] = field(default_factory=list)
     sw_k: list[int] = field(default_factory=list)
@@ -88,6 +90,9 @@ class ExperimentConfig:
     all_pairs: bool = False
 
     def __post_init__(self):
+        check_fields(self, _VALUE_TYPES, "config key ")
+        for key, kind in (("sf_m", int), ("sw_k", int), ("er_p", float)):
+            object.__setattr__(self, key, [kind(v) for v in getattr(self, key)])
         if self.seeds_per_cell < 1:
             raise ValueError(f"config key seeds_per_cell must be at least 1, "
                              f"got {self.seeds_per_cell!r}")
@@ -136,8 +141,8 @@ class ExperimentConfig:
 
 def _checked(cls, d: dict, section: str) -> dict:
     """A copy of ``d``, checked to be an object holding every required field
-    of ``cls``, no other key, and values of the types in ``_VALUE_TYPES``;
-    ``section`` is "" for the top level."""
+    of ``cls`` and no other key; ``section`` is "" for the top level. The
+    values are checked by ``cls`` itself."""
     if not isinstance(d, dict):
         where = f"config section {section}" if section else "config"
         raise ValueError(f"{where} must be a JSON object, "
@@ -153,11 +158,6 @@ def _checked(cls, d: dict, section: str) -> dict:
     if missing:
         raise ValueError("missing config key(s): "
                          + ", ".join(prefix + k for k in missing))
-    for keys, ok, kind in _VALUE_TYPES[section]:
-        for key in keys:
-            if key in d and not ok(d[key]):
-                raise ValueError(f"config key {prefix}{key} must be {kind}, "
-                                 f"got {d[key]!r}")
     return dict(d)
 
 
@@ -166,47 +166,22 @@ def _checked(cls, d: dict, section: str) -> dict:
 _SEEDED = ("got", "kpath")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int_or_null(v) -> bool:
-    return v is None or _is_int(v)
-
-
 def _is_list_of(ok):
-    return lambda v: isinstance(v, list) and all(map(ok, v))
+    return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
 
 
-# the type each value of a JSON config must have, per section ("" is the
-# top level); JSON true/false load as bool, a subclass of int, so the
-# numeric checks exclude it. A key's checks run in order and the first
-# failing one is named.
-_VALUE_TYPES = {
-    "": (
-        (("n", "seeds_per_cell", "base_seed"), _is_int, "an integer"),
-        (("sf_m", "sw_k", "er_p"), _is_list_of(_is_number),
-         "a list of numbers"),
-        (("sf_m", "sw_k"),
-         _is_list_of(lambda v: _is_int(v) or float(v).is_integer()),
-         "a list of integers"),
-        (("sf_triangle_p", "sw_shortcut_p"), _is_number, "a number"),
-        (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
-    ),
-    "got": (
-        (("thieves_per_node",), _is_int, "an integer"),
-        (("vdiamonds_per_node", "epochs"), _is_int_or_null,
-         "an integer or null"),
-    ),
-    "kpath": (
-        (("k",), _is_int, "an integer"),
-        (("rho",), _is_int_or_null, "an integer or null"),
-    ),
-}
+# the type of each top-level field, checked in order by __post_init__ (the
+# sections check their own); JSON true/false load as bool, a subclass of
+# int, so the numeric checks exclude it
+_VALUE_TYPES = (
+    (("n", "seeds_per_cell", "base_seed"), is_int, "an integer"),
+    (("sf_m", "sw_k", "er_p"), _is_list_of(is_number), "a list of numbers"),
+    (("sf_m", "sw_k"),
+     _is_list_of(lambda v: is_int(v) or float(v).is_integer()),
+     "a list of integers"),
+    (("sf_triangle_p", "sw_shortcut_p"), is_number, "a number"),
+    (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
+)
 
 
 def _generator_spec(family: str, n: int, param: float, seed: int,

@@ -57,15 +57,15 @@ graph size. A source with more walks than that runs in chunks, twice from
 the same generator state: once for its total mass, once for its
 contributions.
 
-Sums. Each walk's masses over its source's total go to three sums: trail
-masses per edge, completion masses per end node, and the trail edges at
-the end node, taken back out when a node's completions are spread over its
-edges. Every share is split into an integer multiple of 1 / scale and a
-remainder rounded to a multiple of 1 / (scale * fine), about 2^-70 at
-n = 1000, and both parts are summed as exact integers. The sums therefore
-do not depend on the walk order, and the result is rounded once, so
-structurally symmetric edges come out exactly tied wherever the walks are
-forced (k <= 2, paths, cycles).
+Sums. Each walk's masses over its source's total go to two sums: masses
+per edge, and completion masses per end node, spread over its edges less
+the trail edges there, whose shares enter the edge sum negated. Every
+share is split into an integer multiple of 1 / scale and a remainder
+rounded to a multiple of 1 / (scale * fine), about 2^-70 at n = 1000, and
+both parts are summed as exact integers (rounding is symmetric, so a
+negated share is exact too). The sums therefore do not depend on the walk
+order, and the result is rounded once, so structurally symmetric edges come
+out exactly tied wherever the walks are forced (k <= 2, paths, cycles).
 """
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_fields, is_int, is_int_or_null
 from .rng import make_rng
 
 BLOCK_WALKS = 2048  # walks stepped at once; bounds the block arrays
@@ -82,13 +82,16 @@ _NO_SLOT = np.iinfo(np.int64).max
 
 @dataclass(frozen=True)
 class KpathConfig:
+    """Walk parameters; a field of the wrong type or out of range raises
+    ValueError led by its name (``resolve`` checks rho against the graph)."""
     k: int = 10
     rho: int | None = None  # walk count; None resolves to 8m
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        check_fields(self, ((("k", "seed"), is_int, "an integer"),
+                            (("rho",), is_int_or_null, "an integer or null"),
+                            (("k",), lambda k: k >= 1, "at least 1")))
 
     def resolve(self, m: int) -> tuple[int, int]:
         """Concrete (k, rho) for a graph with m edges.
@@ -131,7 +134,6 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
     fine = 2.0 ** (52 - (2 * rho).bit_length())
     trail_acc = np.zeros((2, 2 * g.m))
     node_acc = np.zeros((2, 2 * g.n))
-    back_acc = np.zeros((2, 2 * g.m))
 
     def add(acc, index, share):
         units = share * scale
@@ -173,13 +175,12 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
             ended, at = walks.complete, walks.end_walk
             tail = walks.last_weight / total[ended]
             add(node_acc, walks.end + g.n * cls[ended], tail)
-            add(back_acc, walks.end_edge + g.m * cls[ended[at]], tail[at])
+            add(trail_acc, walks.end_edge + g.m * cls[ended[at]], -tail[at])
         lo = hi
 
     node_acc = node_acc.reshape(2, 2, g.n)
     units = (trail_acc.reshape(2, 2, g.m)
-             + (node_acc[..., g.edge_u] + node_acc[..., g.edge_v])
-             - back_acc.reshape(2, 2, g.m))
+             + (node_acc[..., g.edge_u] + node_acc[..., g.edge_v]))
     units = units[:, 0] / per_slot + units[:, 1] / (per_slot + 1)
     return (units[0] + units[1] / fine) / scale
 

@@ -1,7 +1,9 @@
 import csv
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from centbench import (CellError, ExperimentConfig, GotConfig, KpathConfig,
@@ -57,6 +59,73 @@ class TestRunCell:
         assert derive_seed(8, "gen") != derive_seed(7, "gen")
 
 
+# bad JSON configs and the message each raises; every case led by
+# "^config key" is a bad value, which the Python constructors reject too
+BAD_CONFIGS = [
+    ({"n": 50, "sf_m": [2], "seed": 1}, r"unknown config key\(s\): seed$"),
+    ({"n": 50, "zeta": 1, "alpha": 2}, r"unknown config key\(s\): alpha, zeta$"),
+    ({"n": 50, "got": {"epochs": 5, "thieves": 2}},
+     r"unknown config key\(s\): got\.thieves$"),
+    ({"n": 50, "kpath": {"K": 3}}, r"unknown config key\(s\): kpath\.K$"),
+    ([{"n": 50}], r"^config must be a JSON object, got list$"),
+    ("x", r"^config must be a JSON object, got str$"),
+    ({"n": 50, "got": 5},
+     r"^config section got must be a JSON object, got int$"),
+    ({"n": 50, "kpath": 5},
+     r"^config section kpath must be a JSON object, got int$"),
+    ({"n": 50, "got": None},
+     r"^config section got must be a JSON object, got NoneType$"),
+    ({"n": 50, "sf_m": 5}, r"^config key sf_m must be a list of numbers, got 5$"),
+    ({"n": "fifty", "sf_m": [2]},
+     r"^config key n must be an integer, got 'fifty'$"),
+    ({"n": 50, "sf_m": [2], "seeds_per_cell": "3"},
+     r"^config key seeds_per_cell must be an integer, got '3'$"),
+    ({"n": 50, "sf_m": [2, 2.5]},
+     r"^config key sf_m must be a list of integers, got \[2, 2\.5\]$"),
+    ({"n": 50, "sw_k": [4.5]},
+     r"^config key sw_k must be a list of integers, got \[4\.5\]$"),
+    ({"n": 50, "got": {"epochs": "5"}},
+     r"^config key got\.epochs must be an integer or null, got '5'$"),
+    ({"n": 50, "got": {"thieves_per_node": 1.0}},
+     r"^config key got\.thieves_per_node must be an integer, got 1\.0$"),
+    ({"n": 50, "got": {"vdiamonds_per_node": True}},
+     r"^config key got\.vdiamonds_per_node must be an integer or null, "
+     r"got True$"),
+    ({"n": 50, "got": {"log_base": 10}},
+     r"^config key got\.log_base must be one of \('e', '2', '10'\), "
+     r"got 10$"),
+    ({"n": 50, "kpath": {"k": "3"}},
+     r"^config key kpath\.k must be an integer, got '3'$"),
+    ({"n": 50, "kpath": {"rho": 2.0}},
+     r"^config key kpath\.rho must be an integer or null, got 2\.0$"),
+    # run_cell derives the got and kpath seeds per cell (got.seed is the
+    # last case, so the ids of the cases after this one stay)
+    ({"n": 50, "kpath": {"seed": None}},
+     r"^unknown config key\(s\): kpath\.seed$"),
+    ({"n": 50, "sf_m": [2], "seeds_per_cell": 0},
+     r"^config key seeds_per_cell must be at least 1, got 0$"),
+    ({"n": 50, "sf_m": [2], "seeds_per_cell": -1},
+     r"^config key seeds_per_cell must be at least 1, got -1$"),
+    ({"n": 50, "sf_m": [2], "got": {"seed": 7}},
+     r"^unknown config key\(s\): got\.seed$"),
+    # checks that need no graph, made when the section is built
+    ({"n": 50, "got": {"log_base": "3"}},
+     r"^config key got\.log_base must be one of \('e', '2', '10'\), "
+     r"got '3'$"),
+    ({"n": 50, "got": {"mean_convention": "median"}},
+     r"^config key got\.mean_convention must be one of "
+     r"\('per-epoch', 'arithmetic'\), got 'median'$"),
+    ({"n": 50, "got": {"thieves_per_node": 0}},
+     r"^config key got\.thieves_per_node must be at least 1, got 0$"),
+    ({"n": 50, "got": {"vdiamonds_per_node": -2}},
+     r"^config key got\.vdiamonds_per_node must be at least 1, got -2$"),
+    ({"n": 50, "got": {"epochs": 0}},
+     r"^config key got\.epochs must be at least 1, got 0$"),
+    ({"n": 50, "kpath": {"k": 0}},
+     r"^config key kpath\.k must be at least 1, got 0$"),
+]
+
+
 class TestExperimentConfig:
     def test_round_trip_via_file(self, tmp_path):
         cfg = ExperimentConfig(n=100, sf_m=[2], sw_k=[4], er_p=[0.1],
@@ -78,73 +147,61 @@ class TestExperimentConfig:
         assert len(set(seeds)) == len(seeds)
         assert cfg.cells() == cells
 
-
-    @pytest.mark.parametrize("d, message", [
-        ({"n": 50, "sf_m": [2], "seed": 1}, r"unknown config key\(s\): seed$"),
-        ({"n": 50, "zeta": 1, "alpha": 2}, r"unknown config key\(s\): alpha, zeta$"),
-        ({"n": 50, "got": {"epochs": 5, "thieves": 2}},
-         r"unknown config key\(s\): got\.thieves$"),
-        ({"n": 50, "kpath": {"K": 3}}, r"unknown config key\(s\): kpath\.K$"),
-        ([{"n": 50}], r"^config must be a JSON object, got list$"),
-        ("x", r"^config must be a JSON object, got str$"),
-        ({"n": 50, "got": 5},
-         r"^config section got must be a JSON object, got int$"),
-        ({"n": 50, "kpath": 5},
-         r"^config section kpath must be a JSON object, got int$"),
-        ({"n": 50, "got": None},
-         r"^config section got must be a JSON object, got NoneType$"),
-        ({"n": 50, "sf_m": 5}, r"^config key sf_m must be a list of numbers, got 5$"),
-        ({"n": "fifty", "sf_m": [2]},
-         r"^config key n must be an integer, got 'fifty'$"),
-        ({"n": 50, "sf_m": [2], "seeds_per_cell": "3"},
-         r"^config key seeds_per_cell must be an integer, got '3'$"),
-        ({"n": 50, "sf_m": [2, 2.5]},
-         r"^config key sf_m must be a list of integers, got \[2, 2\.5\]$"),
-        ({"n": 50, "sw_k": [4.5]},
-         r"^config key sw_k must be a list of integers, got \[4\.5\]$"),
-        ({"n": 50, "got": {"epochs": "5"}},
-         r"^config key got\.epochs must be an integer or null, got '5'$"),
-        ({"n": 50, "got": {"thieves_per_node": 1.0}},
-         r"^config key got\.thieves_per_node must be an integer, got 1\.0$"),
-        ({"n": 50, "got": {"vdiamonds_per_node": True}},
-         r"^config key got\.vdiamonds_per_node must be an integer or null, "
-         r"got True$"),
-        ({"n": 50, "got": {"log_base": 10}},
-         r"^config key got\.log_base must be one of \('e', '2', '10'\), "
-         r"got 10$"),
-        ({"n": 50, "kpath": {"k": "3"}},
-         r"^config key kpath\.k must be an integer, got '3'$"),
-        ({"n": 50, "kpath": {"rho": 2.0}},
-         r"^config key kpath\.rho must be an integer or null, got 2\.0$"),
-        # run_cell derives the got and kpath seeds per cell (got.seed is the
-        # last case, so the ids of the cases after this one stay)
-        ({"n": 50, "kpath": {"seed": None}},
-         r"^unknown config key\(s\): kpath\.seed$"),
-        ({"n": 50, "sf_m": [2], "seeds_per_cell": 0},
-         r"^config key seeds_per_cell must be at least 1, got 0$"),
-        ({"n": 50, "sf_m": [2], "seeds_per_cell": -1},
-         r"^config key seeds_per_cell must be at least 1, got -1$"),
-        ({"n": 50, "sf_m": [2], "got": {"seed": 7}},
-         r"^unknown config key\(s\): got\.seed$"),
-        # checks that need no graph, made when the section is built
-        ({"n": 50, "got": {"log_base": "3"}},
-         r"^config key got\.log_base must be one of \('e', '2', '10'\), "
-         r"got '3'$"),
-        ({"n": 50, "got": {"mean_convention": "median"}},
-         r"^config key got\.mean_convention must be one of "
-         r"\('per-epoch', 'arithmetic'\), got 'median'$"),
-        ({"n": 50, "got": {"thieves_per_node": 0}},
-         r"^config key got\.thieves_per_node must be at least 1, got 0$"),
-        ({"n": 50, "got": {"vdiamonds_per_node": -2}},
-         r"^config key got\.vdiamonds_per_node must be at least 1, got -2$"),
-        ({"n": 50, "got": {"epochs": 0}},
-         r"^config key got\.epochs must be at least 1, got 0$"),
-        ({"n": 50, "kpath": {"k": 0}},
-         r"^config key kpath\.k must be at least 1, got 0$"),
-    ])
+    @pytest.mark.parametrize("d, message", BAD_CONFIGS)
     def test_from_dict_names_bad_keys(self, d, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("d, message", [
+        case for case in BAD_CONFIGS if case[1].startswith("^config key ")])
+    def test_python_constructors_raise_the_same_text(self, d, message):
+        # a section's own message has no "config key <section>." prefix
+        message = re.sub(r"^\^config key (got|kpath)\\\.", "^", message)
+        with pytest.raises(ValueError, match=message):
+            kwargs = dict(d)
+            for key, sub in (("got", GotConfig), ("kpath", KpathConfig)):
+                if key in kwargs:
+                    kwargs[key] = sub(**kwargs[key])
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("cls, name", [
+        (cls, f.name) for cls in (ExperimentConfig, GotConfig, KpathConfig)
+        for f in fields(cls) if f.name not in ("got", "kpath")])
+    @pytest.mark.parametrize("bad", ["1", object()], ids=["str", "object"])
+    def test_every_field_rejects_a_value_of_the_wrong_type(self, cls, name,
+                                                           bad):
+        kwargs = {"n": 50} if cls is ExperimentConfig else {}
+        with pytest.raises(ValueError) as err:
+            cls(**{**kwargs, name: bad})
+        prefix = "config key " if cls is ExperimentConfig else ""
+        assert str(err.value).startswith(f"{prefix}{name} must be ")
+
+    @pytest.mark.parametrize("key, whole, same", [
+        ("sf_m", 5.0, 5), ("sw_k", np.float32(4.0), 4), ("er_p", 1, 1.0),
+        ("er_p", np.int32(1), 1.0)])
+    def test_a_parameter_spelled_two_ways_runs_the_same_cells(
+            self, key, whole, same):
+        cfg = ExperimentConfig(n=50, **{key: (whole,)})
+        assert cfg.cells() == ExperimentConfig(n=50, **{key: [same]}).cells()
+        assert getattr(cfg, key) == [same]
+        assert type(getattr(cfg, key)[0]) is type(same)
+
+    def test_numpy_scalars_pass_the_type_checks(self):
+        # an integer is any numbers.Integral, a number any numbers.Real
+        cfg = ExperimentConfig(
+            n=np.int64(50), sf_m=[np.int32(2)], seeds_per_cell=np.int64(2),
+            sf_triangle_p=np.float32(0.5),
+            got=GotConfig(epochs=np.int64(5), thieves_per_node=np.uint8(2)),
+            kpath=KpathConfig(k=np.int32(3), rho=np.int64(400)))
+        assert cfg.sf_m == [2] and type(cfg.sf_m[0]) is int
+
+    def test_a_whole_float_parameter_runs_as_its_int(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({"n": 60, "sf_m": [3.0],
+                                          "got": {"epochs": 10},
+                                          "kpath": {"k": 3}})
+        assert cfg.cells() == ExperimentConfig(n=60, sf_m=[3]).cells()
+        records, _ = run_experiment(cfg, tmp_path)
+        assert {(r.param, type(r.param)) for r in records} == {(3, int)}
 
     def test_from_dict_accepts_nulls_and_whole_floats(self):
         cfg = ExperimentConfig.from_dict(
@@ -152,7 +209,7 @@ class TestExperimentConfig:
              "got": {"epochs": None, "vdiamonds_per_node": None,
                      "log_base": "2"},
              "kpath": {"k": 3, "rho": None}})
-        assert cfg.sf_m == [5.0]
+        assert cfg.sf_m == [5]
         assert cfg.got == GotConfig(log_base="2")
         assert cfg.kpath == KpathConfig(k=3)
 

@@ -1,10 +1,14 @@
-"""Smoke test of the benchmark: one untimed ``desk-sparse`` round.
+"""Smoke test of the benchmark: one untimed round of two workloads.
 
 ``perfbench/run.py`` exits 1 when one of its output checks fails, and also
 when an interface of the program it calls breaks: the stage functions it
 looks up in ``centbench.harness`` by name, ``KpathConfig.resolve``,
 ``ExperimentRecord``'s positional fields and ``run_experiment``'s return
-value. Its checks recompute quantities with scipy.
+value. ``desk-sparse`` builds its configs as ``ExperimentConfig`` and
+``replace(cfg.got, seed=...)``; ``thieves-scarce`` builds
+``GotConfig(vdiamonds_per_node=1, seed=...)`` itself and runs ``run_got``
+on a Holme-Kim graph at n = 10^4 with one vdiamond per node. The checks
+recompute quantities with scipy.
 """
 import json
 import subprocess
@@ -16,10 +20,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_desk_sparse_round_passes_its_checks():
+@pytest.mark.parametrize("workload", ["desk-sparse", "thieves-scarce"])
+def test_round_passes_its_checks(workload):
     pytest.importorskip("scipy")
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "desk-sparse",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
