@@ -28,7 +28,7 @@ import numpy as np
 
 from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
-from .generators import GeneratorSpec
+from .generators import FAMILIES, GeneratorSpec
 from .got import LOG_BASES, MEAN_CONVENTIONS, GotConfig, run_got
 from .graph import format_edge_list, largest_connected_component, read_edge_list
 from .harness import ExperimentConfig, run_experiment
@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random graph edge list")
-    p.add_argument("--family", required=True, choices=["sf", "sw", "er"])
+    p.add_argument("--family", required=True,
+                   choices=[name.lower() for name in FAMILIES])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--param", type=float, required=True,
                    help="SF: edges per node; SW: ring neighbors; ER: edge prob")

@@ -8,18 +8,23 @@ bit. The draws come from ``rng._Draws``, which reads PCG64's raw words in
 blocks and gives the values ``Generator.random()`` and
 ``Generator.integers(high)`` would, one by one, without a numpy call per
 draw. Outputs are always simple undirected graphs.
+
+``FAMILIES`` is the one table of the families: by name, the generator,
+called as ``(n, param, aux_prob, seed)``, the parameter's name and type,
+and the config keys of the parameter list and of the auxiliary
+probability, with its default. ``GeneratorSpec``, the experiment config
+and the CLI read it, so a new family is one row and one config key.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .graph import Graph, build_graph
 from .rng import _Draws
-
-FAMILIES = ("SF", "SW", "ER")
 
 
 @dataclass(frozen=True)
@@ -28,30 +33,27 @@ class GeneratorSpec:
 
     ``param`` is the family parameter: edges per new node for SF, ring
     neighbors for SW, edge probability for ER. ``aux_prob`` is the triangle
-    probability for SF and the shortcut probability for SW; unused for ER.
+    probability for SF and the shortcut probability for SW, unused for ER;
+    ``None`` stands for the family's default.
     """
     family: str
     n: int
     param: float
-    aux_prob: float = 0.0
+    aux_prob: float | None = 0.0
     seed: int = 0
 
     def generate(self) -> Graph:
-        """The graph; ValueError on an unknown family or on an SF or SW
+        """The graph; ValueError on an unknown family or on an integer
         parameter that is not a whole number (``5.0`` is accepted)."""
-        if self.family in ("SF", "SW") and not float(self.param).is_integer():
-            name = "m" if self.family == "SF" else "k"
-            raise ValueError(f"{self.family} parameter {name} must be an "
-                             f"integer, got {self.param!r}")
-        if self.family == "ER":
-            return gen_erdos_renyi(self.n, float(self.param), self.seed)
-        if self.family == "SW":
-            return gen_nws_small_world(self.n, int(self.param), self.aux_prob,
-                                       self.seed)
-        if self.family == "SF":
-            return gen_holme_kim(self.n, int(self.param), self.aux_prob,
-                                 self.seed)
-        raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        row = FAMILIES.get(self.family)
+        if row is None:
+            raise ValueError(f"unknown family {self.family!r}, "
+                             f"expected one of {tuple(FAMILIES)}")
+        if row.kind is int and not float(self.param).is_integer():
+            raise ValueError(f"{self.family} parameter {row.param} must be "
+                             f"an integer, got {self.param!r}")
+        aux = row.aux_default if self.aux_prob is None else self.aux_prob
+        return row.generator(self.n, row.kind(self.param), aux, self.seed)
 
 
 def _edge_array(us: list[int], vs: list[int]) -> np.ndarray:
@@ -208,3 +210,22 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
             connect(new, target)
             prev = target
     return build_graph(np.array(endpoints, dtype=np.int64).reshape(-1, 2), n)
+
+
+class Family(NamedTuple):
+    """One row of ``FAMILIES``; ``aux_key`` is None where the generator
+    takes no auxiliary probability."""
+    generator: Callable[[int, float, float, int], Graph]
+    param: str                # the parameter's name in messages
+    kind: type                # the parameter's type, int or float
+    key: str                  # config key of the parameter list
+    aux_key: str | None       # config key of the auxiliary probability
+    aux_default: float
+
+
+FAMILIES = {
+    "SF": Family(gen_holme_kim, "m", int, "sf_m", "sf_triangle_p", 0.3),
+    "SW": Family(gen_nws_small_world, "k", int, "sw_k", "sw_shortcut_p", 0.6),
+    "ER": Family(lambda n, p, _, seed: gen_erdos_renyi(n, p, seed),
+                 "p", float, "er_p", None, 0.0),
+}

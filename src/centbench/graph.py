@@ -41,11 +41,16 @@ def is_number(v) -> bool:
 
 def check_fields(obj, rules, prefix: str = "") -> None:
     """Raise ValueError "<prefix><name> must be <kind>, got <value>" for the
-    first field failing its rule in ``rules``, (names, predicate, kind)."""
+    first field failing its rule in ``rules``, (names, predicate, kind).
+    A field that passes and holds a number is stored as Python's int or
+    float, so a numpy scalar reads, and serializes, as its plain twin."""
     for names, ok, kind in rules:
         for name in names:
             if not ok(value := getattr(obj, name)):
                 raise ValueError(f"{prefix}{name} must be {kind}, got {value!r}")
+            if is_number(value):
+                object.__setattr__(obj, name,
+                                   int(value) if is_int(value) else float(value))
 
 
 @dataclass(frozen=True, repr=False)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
-from .generators import GeneratorSpec
+from .generators import FAMILIES, GeneratorSpec
 from .got import GotConfig, run_got
 from .graph import check_fields, is_int, is_number, largest_connected_component
 from .kpath import KpathConfig, werw_kpath
@@ -45,6 +45,11 @@ PLOT_COLUMNS = [*CELL_KEY, "pair", "coefficient", "value"]
 ERROR_COLUMNS = [*CELL_KEY, "error"]
 NODE_MEASURES = ("dc", "bc", "cl", "cc")
 COEFFICIENTS = ("pearson", "spearman", "kendall")
+
+
+# the default of each family's auxiliary probability, by config key
+_AUX_DEFAULTS = {row.aux_key: row.aux_default for row in FAMILIES.values()
+                 if row.aux_key}
 
 
 class CellError(RuntimeError):
@@ -75,14 +80,15 @@ class ExperimentRecord:
 class ExperimentConfig:
     """Full experiment matrix; serializes 1:1 to the JSON config file, except
     for the got and kpath seeds, which ``run_cell`` derives per cell. From
-    JSON or Python, a bad value raises ValueError naming its key, and a
-    parameter is stored as int (SF, SW) or float (ER): 5.0 runs as 5."""
+    JSON or Python, a bad value raises ValueError naming its key, a number
+    is stored as Python's int or float, and a parameter as its family's
+    type in ``generators.FAMILIES``: 5.0 runs as 5."""
     n: int
     sf_m: list[int] = field(default_factory=list)
     sw_k: list[int] = field(default_factory=list)
     er_p: list[float] = field(default_factory=list)
-    sf_triangle_p: float = 0.3
-    sw_shortcut_p: float = 0.6
+    sf_triangle_p: float = _AUX_DEFAULTS["sf_triangle_p"]
+    sw_shortcut_p: float = _AUX_DEFAULTS["sw_shortcut_p"]
     seeds_per_cell: int = 1
     base_seed: int = 0
     got: GotConfig = field(default_factory=GotConfig)
@@ -91,8 +97,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, _VALUE_TYPES, "config key ")
-        for key, kind in (("sf_m", int), ("sw_k", int), ("er_p", float)):
-            object.__setattr__(self, key, [kind(v) for v in getattr(self, key)])
+        for row in FAMILIES.values():
+            object.__setattr__(self, row.key,
+                               [row.kind(v) for v in getattr(self, row.key)])
         if self.seeds_per_cell < 1:
             raise ValueError(f"config key seeds_per_cell must be at least 1, "
                              f"got {self.seeds_per_cell!r}")
@@ -105,9 +112,18 @@ class ExperimentConfig:
         """(family, param, cell_seed) triples in deterministic order."""
         return [(family, param,
                  derive_seed(self.base_seed, f"{family}:{param!r}:{i}"))
-                for family, params in (("SF", self.sf_m), ("SW", self.sw_k),
-                                       ("ER", self.er_p))
-                for param in params for i in range(self.seeds_per_cell)]
+                for family, row in FAMILIES.items()
+                for param in getattr(self, row.key)
+                for i in range(self.seeds_per_cell)]
+
+    def generator_spec(self, family: str, param: float,
+                       cell_seed: int) -> GeneratorSpec:
+        """The generator call of one cell: this config's auxiliary
+        probability for the family, and the cell's "gen" sub-seed."""
+        row = FAMILIES[family]
+        aux = getattr(self, row.aux_key) if row.aux_key else row.aux_default
+        return GeneratorSpec(family, self.n, param, aux,
+                             derive_seed(cell_seed, "gen"))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -175,29 +191,25 @@ def _is_list_of(ok):
 # int, so the numeric checks exclude it
 _VALUE_TYPES = (
     (("n", "seeds_per_cell", "base_seed"), is_int, "an integer"),
-    (("sf_m", "sw_k", "er_p"), _is_list_of(is_number), "a list of numbers"),
-    (("sf_m", "sw_k"),
+    (tuple(row.key for row in FAMILIES.values()), _is_list_of(is_number),
+     "a list of numbers"),
+    (tuple(row.key for row in FAMILIES.values() if row.kind is int),
      _is_list_of(lambda v: is_int(v) or float(v).is_integer()),
      "a list of integers"),
-    (("sf_triangle_p", "sw_shortcut_p"), is_number, "a number"),
+    (tuple(_AUX_DEFAULTS), is_number, "a number"),
+    (tuple(_AUX_DEFAULTS), lambda p: 0 <= p <= 1, "in [0, 1]"),
     (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
 )
-
-
-def _generator_spec(family: str, n: int, param: float, seed: int,
-                    sf_triangle_p: float, sw_shortcut_p: float) -> GeneratorSpec:
-    aux_p = {"SF": sf_triangle_p, "SW": sw_shortcut_p}.get(family, 0.0)
-    return GeneratorSpec(family, n, param, aux_p, seed)
 
 
 def run_cell(family: str, n: int, param: float, seed: int,
              got_cfg: GotConfig | None = None,
              kpath_cfg: KpathConfig | None = None,
-             sf_triangle_p: float = 0.3,
-             sw_shortcut_p: float = 0.6,
+             aux_prob: float | None = None,
              all_pairs: bool = False) -> tuple[list[ExperimentRecord], dict]:
     """Run one experiment cell; returns its 15 records (more with all_pairs)
-    and the wall time of each stage in ms.
+    and the wall time of each stage in ms. ``aux_prob`` is the family's
+    auxiliary probability, ``None`` for its default.
 
     Raises CellError (with full cell context) on any stage failure; a failed
     cell produces no partial records.
@@ -214,8 +226,8 @@ def run_cell(family: str, n: int, param: float, seed: int,
         return result
 
     try:
-        spec = _generator_spec(family, n, param, derive_seed(seed, "gen"),
-                               sf_triangle_p, sw_shortcut_p)
+        spec = GeneratorSpec(family, n, param, aux_prob,
+                             derive_seed(seed, "gen"))
         g = _timed("gen", spec.generate)
         lcc, _ = _timed("lcc", largest_connected_component, g)
         if lcc.n < 2 or lcc.m == 0:
@@ -276,7 +288,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     if not cells:
         raise ValueError("nothing to run: all family parameter lists are empty")
     tasks = [(family, cfg.n, param, seed, cfg.got, cfg.kpath,
-              cfg.sf_triangle_p, cfg.sw_shortcut_p, cfg.all_pairs)
+              cfg.generator_spec(family, param, seed).aux_prob, cfg.all_pairs)
              for family, param, seed in cells]
     if workers > 1:  # a serial run does not pay the pool's import
         from concurrent.futures import ProcessPoolExecutor

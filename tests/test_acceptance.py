@@ -30,7 +30,6 @@ from centbench import (ExperimentConfig, GotConfig, KpathConfig,
                        gen_erdos_renyi, gen_holme_kim, gen_nws_small_world,
                        is_connected, kendall, largest_connected_component,
                        pearson, run_experiment, run_got, spearman, werw_kpath)
-from centbench.harness import _generator_spec
 from centbench.rng import derive_seed
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
@@ -254,8 +253,7 @@ def _psi_self_agreement(family, param, seed):
     cell's own largest connected component, replayed from its "gen" seed
     under the desk matrix's (default) generator and simulation settings."""
     cfg = ExperimentConfig(n=1000)
-    spec = _generator_spec(family, cfg.n, param, derive_seed(seed, "gen"),
-                           cfg.sf_triangle_p, cfg.sw_shortcut_p)
+    spec = cfg.generator_spec(family, param, seed)
     lcc, _ = largest_connected_component(spec.generate())
     a, b = (run_got(lcc, replace(cfg.got, seed=derive_seed(seed, tag))).psi
             for tag in ("psi-replica-a", "psi-replica-b"))

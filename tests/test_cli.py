@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from centbench import GotConfig, KpathConfig, read_edge_list
+from centbench import ExperimentConfig, GotConfig, KpathConfig, read_edge_list
 from centbench.cli import main, read_scores
+from centbench.generators import FAMILIES
+from centbench.graph import format_edge_list
 
 
 def run_cli(*argv):
@@ -48,6 +50,23 @@ class TestGen:
         out = tmp_path / "g.edges"
         assert run_cli("gen", *argv, "--out", str(out)) == 0
         assert read_edge_list(out).m == m
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gen_builds_the_graph_of_an_experiment_cell(self, tmp_path,
+                                                        family):
+        # every row of the family table is reachable from both ends
+        row = FAMILIES[family]
+        param = 4 if row.kind is int else 0.1
+        cfg = ExperimentConfig(n=60, **{row.key: [param]})
+        (cell_family, cell_param, seed), = cfg.cells()
+        spec = cfg.generator_spec(cell_family, cell_param, seed)
+        out = tmp_path / "g.edges"
+        assert run_cli("gen", "--family", family.lower(), "--n", "60",
+                       "--param", str(param), "--aux-p", str(spec.aux_prob),
+                       "--seed", str(spec.seed), "--out", str(out)) == 0
+        edges = format_edge_list(spec.generate())
+        assert out.read_text(encoding="utf-8") == edges
+        assert edges.count("\n") > 60
 
     def test_gen_sf(self, tmp_path):
         out = tmp_path / "sf.edges"
@@ -303,6 +322,8 @@ class TestErrors:
         ({"got": {"vdiamonds_per_node": 0}},
          "config key got.vdiamonds_per_node must be at least 1, got 0"),
         ({"kpath": {"k": 0}}, "config key kpath.k must be at least 1, got 0"),
+        ({"sf_triangle_p": 1.5},
+         "config key sf_triangle_p must be in [0, 1], got 1.5"),
     ])
     def test_bad_shared_setting_exits_two_before_any_cell(
             self, tmp_path, capsys, section, message):

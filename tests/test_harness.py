@@ -123,6 +123,11 @@ BAD_CONFIGS = [
      r"^config key got\.epochs must be at least 1, got 0$"),
     ({"n": 50, "kpath": {"k": 0}},
      r"^config key kpath\.k must be at least 1, got 0$"),
+    # a shared probability out of range, before any cell runs
+    ({"n": 60, "sf_m": [2], "sf_triangle_p": 1.5},
+     r"^config key sf_triangle_p must be in \[0, 1\], got 1\.5$"),
+    ({"n": 60, "sw_k": [4], "sw_shortcut_p": -0.1},
+     r"^config key sw_shortcut_p must be in \[0, 1\], got -0\.1$"),
 ]
 
 
@@ -186,14 +191,31 @@ class TestExperimentConfig:
         assert getattr(cfg, key) == [same]
         assert type(getattr(cfg, key)[0]) is type(same)
 
-    def test_numpy_scalars_pass_the_type_checks(self):
-        # an integer is any numbers.Integral, a number any numbers.Real
+    def test_numpy_scalars_pass_the_type_checks(self, tmp_path):
+        # an integer is any numbers.Integral, a number any numbers.Real; each
+        # is stored as Python's int or float, so the report can be written
         cfg = ExperimentConfig(
             n=np.int64(50), sf_m=[np.int32(2)], seeds_per_cell=np.int64(2),
             sf_triangle_p=np.float32(0.5),
             got=GotConfig(epochs=np.int64(5), thieves_per_node=np.uint8(2)),
             kpath=KpathConfig(k=np.int32(3), rho=np.int64(400)))
+        twin = ExperimentConfig(
+            n=50, sf_m=[2], seeds_per_cell=2, sf_triangle_p=0.5,
+            got=GotConfig(epochs=5, thieves_per_node=2),
+            kpath=KpathConfig(k=3, rho=400))
         assert cfg.sf_m == [2] and type(cfg.sf_m[0]) is int
+
+        def typed(v):
+            if isinstance(v, dict):
+                return {k: typed(x) for k, x in v.items()}
+            if isinstance(v, list):
+                return [typed(x) for x in v]
+            return type(v), v
+
+        assert typed(cfg.to_dict()) == typed(twin.to_dict())
+        run_experiment(cfg, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"] == twin.to_dict()
 
     def test_a_whole_float_parameter_runs_as_its_int(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"n": 60, "sf_m": [3.0],

@@ -7,7 +7,8 @@ module-level private function or class is used somewhere in the library
 outside its own definition (a use from the tests alone does not count).
 The generators draw through ``rng._Draws`` and never call numpy's
 ``Generator`` once per draw. An experiment record holds the report CSV's
-columns and nothing else.
+columns and nothing else. Only ``generators.py``, which holds the family
+table, names a graph family in a string constant.
 """
 import ast
 from dataclasses import fields
@@ -107,3 +108,15 @@ def test_generators_make_no_per_draw_generator_call():
 def test_record_fields_are_the_report_columns():
     # per-cell data such as stage timings belongs in report.json's cells
     assert [f.name for f in fields(ExperimentRecord)] == CSV_COLUMNS[1:]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "generators.py"],
+                         ids=lambda p: p.name)
+def test_only_the_family_table_names_a_family(path):
+    names = {"SF", "SW", "ER", "sf", "sw", "er"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bad = sorted(f"line {node.lineno}: {node.value!r}"
+                 for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str) and node.value in names)
+    assert not bad, f"{path.name} names a family outside generators.FAMILIES: {bad}"

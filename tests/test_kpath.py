@@ -8,7 +8,6 @@ import centbench.kpath
 from centbench import (ExperimentConfig, KpathConfig, build_graph,
                        derive_seed, gen_holme_kim, largest_connected_component,
                        spearman, werw_kpath)
-from centbench.harness import _generator_spec
 
 from conftest import (complete_graph, path_graph,
                       random_connected_graph, star_graph)
@@ -185,8 +184,7 @@ def test_desk_scale_outputs_match_recorded_digests():
                            base_seed=20240807)
     digests = {}
     for family, param, seed in cfg.cells():
-        spec = _generator_spec(family, cfg.n, param, derive_seed(seed, "gen"),
-                               cfg.sf_triangle_p, cfg.sw_shortcut_p)
+        spec = cfg.generator_spec(family, param, seed)
         lcc, _ = largest_connected_component(spec.generate())
         scores = werw_kpath(lcc, KpathConfig(seed=derive_seed(seed, "kpath")))
         digests[family] = hashlib.sha256(scores.tobytes()).hexdigest()
