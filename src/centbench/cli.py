@@ -29,7 +29,7 @@ import numpy as np
 from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
 from .generators import FAMILIES, GeneratorSpec
-from .got import LOG_BASES, MEAN_CONVENTIONS, GotConfig, run_got
+from .got import MEAN_CONVENTIONS, GotConfig, run_got
 from .graph import format_edge_list, largest_connected_component, read_edge_list
 from .harness import ExperimentConfig, run_experiment
 from .kpath import KpathConfig, werw_kpath
@@ -106,7 +106,6 @@ def _cmd_got(args) -> int:
     cfg = GotConfig(thieves_per_node=args.thieves_per_node,
                     vdiamonds_per_node=args.vdiamonds_per_node,
                     epochs=args.epochs,
-                    log_base=args.epoch_log_base,
                     mean_convention=args.mean_convention,
                     seed=args.seed)
     res = run_got(_read_graph(args), cfg, collect_trace=args.trace is not None)
@@ -170,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--param", type=float, required=True,
                    help="SF: edges per node; SW: ring neighbors; ER: edge prob")
-    p.add_argument("--aux-p", type=float, default=0.0,
-                   help="SF triangle prob / SW shortcut prob")
+    p.add_argument("--aux-p", type=float, default=None,
+                   help="SF triangle prob / SW shortcut prob (default: the "
+                        "family's, as in an experiment config)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -189,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=GotConfig.thieves_per_node)
     p.add_argument("--vdiamonds-per-node", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--epoch-log-base", choices=LOG_BASES,
-                   default=GotConfig.log_base)
     p.add_argument("--mean-convention", choices=MEAN_CONVENTIONS,
                    default=GotConfig.mean_convention)
     p.add_argument("--seed", type=int, default=GotConfig.seed)

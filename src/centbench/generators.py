@@ -39,7 +39,7 @@ class GeneratorSpec:
     family: str
     n: int
     param: float
-    aux_prob: float | None = 0.0
+    aux_prob: float | None = None
     seed: int = 0
 
     def generate(self) -> Graph:

@@ -41,7 +41,7 @@ the old rows copied into its front.
 Score accumulation: with ``mean_convention="per-epoch"`` the sums over
 epochs 0..T (T+1 addends, where epoch 0 is the initial state) are divided
 by the epoch count T; ``"arithmetic"`` divides by T+1 instead. The epoch
-count defaults to ceil(log(n)^3) with a configurable logarithm base.
+count defaults to ceil(ln(n)^3).
 """
 from __future__ import annotations
 
@@ -54,18 +54,14 @@ import numpy as np
 from .graph import Graph, check_fields, is_connected, is_int, is_int_or_null
 from .rng import make_rng
 
-_LOGS = {"e": math.log, "2": math.log2, "10": math.log10}
-LOG_BASES = tuple(_LOGS)
 MEAN_CONVENTIONS = ("per-epoch", "arithmetic")
 
 
-def default_epochs(n: int, log_base: str = "e") -> int:
-    """Default epoch count ceil(log(n)^3) for the given logarithm base."""
+def default_epochs(n: int) -> int:
+    """Default epoch count ceil(ln(n)^3)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if log_base not in _LOGS:
-        raise ValueError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
-    return max(1, math.ceil(_LOGS[log_base](n) ** 3))
+    return math.ceil(math.log(n) ** 3)
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,12 @@ class GotConfig:
     """Simulation parameters.
 
     ``vdiamonds_per_node=None`` resolves to the node count and ``epochs=None``
-    to ``default_epochs(n, log_base)`` when the simulation starts, as is
-    customary for this game. A bad field raises ValueError led by its name.
+    to ``default_epochs(n)`` when the simulation starts, as is customary for
+    this game. A bad field raises ValueError led by its name.
     """
     thieves_per_node: int = 1
     vdiamonds_per_node: int | None = None
     epochs: int | None = None
-    log_base: str = "e"
     mean_convention: str = "per-epoch"
     seed: int = 0
 
@@ -89,7 +84,6 @@ class GotConfig:
             (("thieves_per_node", "seed"), is_int, "an integer"),
             (("vdiamonds_per_node", "epochs"), is_int_or_null,
              "an integer or null"),
-            (("log_base",), LOG_BASES.__contains__, f"one of {LOG_BASES}"),
             (("mean_convention",), MEAN_CONVENTIONS.__contains__,
              f"one of {MEAN_CONVENTIONS}"),
             (counts, lambda v: v is None or v >= 1, "at least 1")))
@@ -97,7 +91,7 @@ class GotConfig:
     def resolve(self, n: int) -> tuple[int, int, int]:
         """Concrete (thieves_per_node, vdiamonds_per_node, epochs) for n nodes."""
         vd = self.vdiamonds_per_node if self.vdiamonds_per_node is not None else n
-        epochs = self.epochs if self.epochs is not None else default_epochs(n, self.log_base)
+        epochs = self.epochs if self.epochs is not None else default_epochs(n)
         return self.thieves_per_node, vd, epochs
 
 

@@ -53,9 +53,11 @@ walks over the sources).
 
 Blocking. Walks run in blocks of whole sources of at most ``BLOCK_WALKS``
 walks, all steps of a block at once, so memory stays bounded whatever the
-graph size. A source with more walks than that runs in chunks, twice from
-the same generator state: once for its total mass, once for its
-contributions.
+graph size. A source with more walks than that is a block of its own and
+steps in chunks of ``BLOCK_WALKS`` walks; every chunk's walks are held
+until the source's total mass is known. A block holds an edge id and a
+mass, 16 B, per walk and step: max(BLOCK_WALKS, walks of its largest
+source) * (k - 1) * 16 B of walk state.
 
 Sums. Each walk's masses over its source's total go to two sums: masses
 per edge, and completion masses per end node, spread over its edges less
@@ -148,24 +150,15 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
                                      side="right")), lo + 1)
         first, last = g.indptr[lo], g.indptr[hi]
         walk_slot = np.repeat(np.arange(first, last), reps[first:last])
-
-        def chunks():
-            for c in range(0, walk_slot.size, BLOCK_WALKS):
-                slot = walk_slot[c:c + BLOCK_WALKS]
-                yield slot, _walks(g, twin, k, slot, rng)
-
-        state = rng.bit_generator.state
         held = []
-        for slot, walks in chunks():
+        for c in range(0, walk_slot.size, BLOCK_WALKS):
+            slot = walk_slot[c:c + BLOCK_WALKS]
+            walks = _walks(g, twin, k, slot, rng)
             np.add.at(slot_mass, slot, walks.suffix[0])
-            if walk_slot.size <= BLOCK_WALKS:
-                held.append((slot, walks))
+            held.append((slot, walks))
         source_mass = np.bincount(owner[first:last] - lo,
                                   slot_mass[first:last] / reps[first:last],
                                   minlength=hi - lo)
-        if not held:
-            rng.bit_generator.state = state
-            held = chunks()
         for slot, walks in held:
             total = source_mass[owner[slot] - lo]
             cls = slot < extra

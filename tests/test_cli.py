@@ -1,11 +1,12 @@
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
 
 from centbench import ExperimentConfig, GotConfig, KpathConfig, read_edge_list
-from centbench.cli import main, read_scores
+from centbench.cli import build_parser, main, read_scores
 from centbench.generators import FAMILIES
 from centbench.graph import format_edge_list
 
@@ -54,19 +55,21 @@ class TestGen:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gen_builds_the_graph_of_an_experiment_cell(self, tmp_path,
                                                         family):
-        # every row of the family table is reachable from both ends
+        # every row of the family table is reachable from both ends, and
+        # without --aux-p gen takes the family's default, as the cell does
         row = FAMILIES[family]
         param = 4 if row.kind is int else 0.1
         cfg = ExperimentConfig(n=60, **{row.key: [param]})
         (cell_family, cell_param, seed), = cfg.cells()
         spec = cfg.generator_spec(cell_family, cell_param, seed)
-        out = tmp_path / "g.edges"
-        assert run_cli("gen", "--family", family.lower(), "--n", "60",
-                       "--param", str(param), "--aux-p", str(spec.aux_prob),
-                       "--seed", str(spec.seed), "--out", str(out)) == 0
         edges = format_edge_list(spec.generate())
-        assert out.read_text(encoding="utf-8") == edges
         assert edges.count("\n") > 60
+        out = tmp_path / "g.edges"
+        for aux_p in (("--aux-p", str(spec.aux_prob)), ()):
+            assert run_cli("gen", "--family", family.lower(), "--n", "60",
+                           "--param", str(param), *aux_p,
+                           "--seed", str(spec.seed), "--out", str(out)) == 0
+            assert out.read_text(encoding="utf-8") == edges
 
     def test_gen_sf(self, tmp_path):
         out = tmp_path / "sf.edges"
@@ -314,8 +317,7 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, message", [
-        ({"got": {"log_base": "3"}},
-         "config key got.log_base must be one of ('e', '2', '10'), got '3'"),
+        ({"got": {"log_base": "3"}}, "unknown config key(s): got.log_base"),
         ({"got": {"mean_convention": "mean"}},
          "config key got.mean_convention must be one of "
          "('per-epoch', 'arithmetic'), got 'mean'"),
@@ -372,3 +374,29 @@ def test_kpath_help_states_default_rho(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert ("walk count, at least 2 x edge count (default: 8 x edge count, "
             "four walks per adjacency slot)") in help_text
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_block(after, fence):
+    """The lines of the first ``fence`` code block after the line ``after``."""
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index(fence, lines.index(after)) + 1
+    return lines[start:lines.index("```", start)]
+
+
+def test_readme_config_example_loads():
+    block = readme_block("## Experiment config", "```json")
+    ExperimentConfig.from_dict(json.loads("\n".join(block)))
+
+
+def test_readme_cli_example_parses():
+    text = "\n".join(readme_block("## CLI", "```")).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in text.splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["centbench", name] for name in ("gen", "centrality", "got", "kpath",
+                                         "correlate", "experiment")]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

@@ -461,8 +461,6 @@ class TestResolvePickups:
 class TestConfig:
     def test_default_epochs_bases(self):
         assert default_epochs(1000) == 330          # ceil(ln(1000)^3)
-        assert default_epochs(1000, "2") == 990     # ceil(log2(1000)^3)
-        assert default_epochs(1000, "10") == 27
         assert default_epochs(2) == 1
 
     def test_resolve_defaults_to_network_size(self):
@@ -477,8 +475,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             GotConfig(thieves_per_node=0).resolve(10)
         with pytest.raises(ValueError):
-            GotConfig(log_base="3").resolve(10)
-        with pytest.raises(ValueError):
             GotConfig(mean_convention="median").resolve(10)
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -486,7 +482,6 @@ class TestConfig:
         ({"thieves_per_node": 0}, "thieves_per_node must be at least 1, got 0"),
         ({"vdiamonds_per_node": -1},
          "vdiamonds_per_node must be at least 1, got -1"),
-        ({"log_base": "3"}, "log_base must be one of ('e', '2', '10'), got '3'"),
         ({"mean_convention": "median"}, "mean_convention must be one of "
          "('per-epoch', 'arithmetic'), got 'median'"),
     ])

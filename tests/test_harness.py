@@ -91,9 +91,9 @@ BAD_CONFIGS = [
     ({"n": 50, "got": {"vdiamonds_per_node": True}},
      r"^config key got\.vdiamonds_per_node must be an integer or null, "
      r"got True$"),
+    # a removed field is an unknown key
     ({"n": 50, "got": {"log_base": 10}},
-     r"^config key got\.log_base must be one of \('e', '2', '10'\), "
-     r"got 10$"),
+     r"^unknown config key\(s\): got\.log_base$"),
     ({"n": 50, "kpath": {"k": "3"}},
      r"^config key kpath\.k must be an integer, got '3'$"),
     ({"n": 50, "kpath": {"rho": 2.0}},
@@ -110,8 +110,7 @@ BAD_CONFIGS = [
      r"^unknown config key\(s\): got\.seed$"),
     # checks that need no graph, made when the section is built
     ({"n": 50, "got": {"log_base": "3"}},
-     r"^config key got\.log_base must be one of \('e', '2', '10'\), "
-     r"got '3'$"),
+     r"^unknown config key\(s\): got\.log_base$"),
     ({"n": 50, "got": {"mean_convention": "median"}},
      r"^config key got\.mean_convention must be one of "
      r"\('per-epoch', 'arithmetic'\), got 'median'$"),
@@ -228,11 +227,10 @@ class TestExperimentConfig:
     def test_from_dict_accepts_nulls_and_whole_floats(self):
         cfg = ExperimentConfig.from_dict(
             {"n": 50, "sf_m": [5.0], "sw_k": [4],
-             "got": {"epochs": None, "vdiamonds_per_node": None,
-                     "log_base": "2"},
+             "got": {"epochs": None, "vdiamonds_per_node": None},
              "kpath": {"k": 3, "rho": None}})
         assert cfg.sf_m == [5]
-        assert cfg.got == GotConfig(log_base="2")
+        assert cfg.got == GotConfig()
         assert cfg.kpath == KpathConfig(k=3)
 
     @pytest.mark.parametrize("section, value, key", [

@@ -165,6 +165,24 @@ class TestWerwKpath:
             tracemalloc.stop()
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_memory_bounded_on_a_source_larger_than_a_block(self):
+        # the hub's 80k walks are one block, held until its total is known:
+        # the tracemalloc peak measured 26.9 MB, and the bound leaves about
+        # 25% headroom
+        leaves = 20000
+        g = build_graph([(0, i) for i in range(1, leaves + 1)]
+                        + [(i, i + 1) for i in range(1, leaves, 2)], leaves + 1)
+        tracemalloc.start()
+        try:
+            scores = werw_kpath(g, KpathConfig(seed=607))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 34e6, f"peak {peak / 1e6:.1f} MB"
+        # recorded when the hub ran twice from one generator state
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == \
+            "5a89dfe631c94b7973c9afe2b1589125935b90011f9db8f646fb6bcf93b8d23a"
+
 
 # sha256 of werw_kpath (k = 10, default rho; float64, little-endian bytes)
 # on the largest connected component of each sparse desk-row cell, with the
@@ -244,7 +262,8 @@ class TestBatchedMatchesReference:
                 assert_matches_reference(g, k, rho, seed=k)
 
     def test_sources_larger_than_a_block(self, monkeypatch):
-        # a source with more walks than a block runs in chunks, twice
+        # a source with more walks than a block runs in chunks, all held
+        # until its total mass is known
         monkeypatch.setattr(centbench.kpath, "BLOCK_WALKS", 5)
         for name in ("star", "tree", "random0"):
             g = REFERENCE_GRAPHS[name]
