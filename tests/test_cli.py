@@ -368,6 +368,14 @@ class TestErrors:
         assert seen["workers"] == min(100000, os.cpu_count() or 1)
 
 
+def test_got_refuses_the_removed_epoch_log_base_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("got", "--graph", str(tmp_path / "g.edges"),
+                "--epoch-log-base", "2")
+    assert err.value.code == 2
+    assert "--epoch-log-base" in capsys.readouterr().err
+
+
 def test_kpath_help_states_default_rho(capsys):
     with pytest.raises(SystemExit):
         run_cli("kpath", "--help")

@@ -484,9 +484,15 @@ class TestConfig:
          "vdiamonds_per_node must be at least 1, got -1"),
         ({"mean_convention": "median"}, "mean_convention must be one of "
          "('per-epoch', 'arithmetic'), got 'median'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ])
     def test_invalid_fields_rejected_when_built(self, kwargs, message):
         # no graph is needed to see these, so they fail before any run
         with pytest.raises(ValueError) as err:
             GotConfig(**kwargs)
         assert str(err.value) == message
+
+    def test_log_base_is_not_a_field(self):
+        # the epoch default is ceil(ln(n)^3) alone; an old caller fails loudly
+        with pytest.raises(TypeError, match="log_base"):
+            GotConfig(log_base="2")

@@ -127,6 +127,9 @@ BAD_CONFIGS = [
      r"^config key sf_triangle_p must be in \[0, 1\], got 1\.5$"),
     ({"n": 60, "sw_k": [4], "sw_shortcut_p": -0.1},
      r"^config key sw_shortcut_p must be in \[0, 1\], got -0\.1$"),
+    ({"n": 50, "got": {"mean_convention": 1}},
+     r"^config key got\.mean_convention must be one of "
+     r"\('per-epoch', 'arithmetic'\), got 1$"),
 ]
 
 
