@@ -15,8 +15,9 @@ Conventions:
 * The clustering coefficient is ``2 T_i / (d_i (d_i - 1))``, defined as 0
   for degree <= 1 where the ratio would be 0/0. The triangle counts ``T_i``
   come from one degree-ordered forward count (``triangle_counts``) in
-  O(m + sum_i d+_i^2) time and memory, where ``d+_i <= sqrt(2m)`` is the
-  number of neighbours ranked above ``i``.
+  O(m + sum_i d+_i^2) time, where ``d+_i <= sqrt(2m)`` is the number of
+  neighbours ranked above ``i``, and in O(m) memory plus one chunk of at
+  most ``max(_WEDGES, max_i d+_i)`` wedges.
 
 One bit-parallel level step (``_bit_levels``) runs the BFS of a whole
 block of sources at once and serves both distance measures. Closeness sums
@@ -44,6 +45,8 @@ from .graph import Graph, component_labels
 # little-endian words so that their bytes unpack in source order
 _BLOCK = 256
 _WORD = np.dtype("<u8")
+# wedges that triangle_counts lists at once, unless one slot has more
+_WEDGES = 1 << 15
 
 
 class DisconnectedGraphError(ValueError):
@@ -177,13 +180,16 @@ def triangle_counts(g: Graph) -> np.ndarray:
     nodes by (degree, id) and orient each edge from its lower- to its
     higher-ranked end. Every triangle is then the wedge ``a -> b, a -> c``
     of exactly one node ``a`` whose out-row holds ``b`` and ``c``, closed by
-    the edge ``b -> c``. All wedges are listed at once and their closing
-    edges looked up by binary search in the sorted oriented-edge keys. The
-    work and memory are O(m + sum_a d+(a)^2), and under degree order every
-    out-degree d+ is at most sqrt(2m).
+    the edge ``b -> c``. The wedges are listed for chunks of consecutive
+    out-edge slots with at most ``_WEDGES`` wedges together (a slot with
+    more is a chunk of its own), their closing edges looked up by binary
+    search in the sorted oriented-edge keys, and each chunk's exact corner
+    counts added up. The work is O(m + sum_a d+(a)^2), and under degree
+    order every out-degree d+ is at most sqrt(2m); a slot has fewer than
+    d+ wedges, so the memory is O(m) plus ``max(_WEDGES, d+)`` wedges.
     """
-    n = g.n
-    if g.m == 0:
+    n, m = g.n, g.m
+    if m == 0:
         return np.zeros(n, dtype=np.int64)
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(g.degrees, kind="stable")] = np.arange(n)
@@ -191,18 +197,28 @@ def triangle_counts(g: Graph) -> np.ndarray:
     # one key per oriented edge, tail * n + head in rank space; sorting the
     # keys groups the edges by tail with each out-row in ascending head rank
     keys = np.sort(np.minimum(ru, rv) * n + np.maximum(ru, rv))
+    del ru, rv
     tail, head = np.divmod(keys, n)
     # slot i pairs with every later slot j of its row: wedge (head[i], head[j])
-    later = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(g.m) - 1
-    first = np.repeat(np.arange(g.m), later)
-    offsets = np.cumsum(later) - later
-    second = first + 1 + np.arange(first.size) - np.repeat(offsets, later)
-    closing = head[first] * n + head[second]
-    pos = np.minimum(np.searchsorted(keys, closing), g.m - 1)
-    hit = keys[pos] == closing
-    corners = np.concatenate([tail[first[hit]], head[first[hit]],
-                              head[second[hit]]])
-    return np.bincount(corners, minlength=n)[rank]
+    later = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(m) - 1
+    upto = np.cumsum(later)  # wedges of slots 0..i
+    count = np.zeros(n, dtype=np.int64)
+    lo = 0
+    while lo < m:
+        # the slots from lo whose wedges fit in one chunk, and slot lo itself
+        limit = upto[lo] - later[lo] + _WEDGES
+        hi = max(int(np.searchsorted(upto, limit, side="right")), lo + 1)
+        w = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), w)
+        offsets = np.repeat(np.cumsum(w) - w, w)
+        second = first + 1 + np.arange(first.size) - offsets
+        closing = head[first] * n + head[second]
+        pos = np.minimum(np.searchsorted(keys, closing), m - 1)
+        hit = keys[pos] == closing
+        count += np.bincount(np.concatenate([tail[first[hit]], head[first[hit]],
+                                             head[second[hit]]]), minlength=n)
+        lo = hi
+    return count[rank]
 
 
 def clustering_coefficient(g: Graph) -> np.ndarray:

@@ -156,6 +156,12 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"triangle probability must be in [0, 1], got {p}")
+    # the growth loop's sets and lists are gone before build_graph sorts
+    return build_graph(_holme_kim_edges(n, m, p, seed), n)
+
+
+def _holme_kim_edges(n: int, m: int, p: float, seed: int) -> np.ndarray:
+    """The (m', 2) int64 edges ``(new, t)`` of ``gen_holme_kim``, in id order."""
     draws = _Draws(seed)
     random, below = draws.random, draws.below
     present: set[int] = set()  # t * n + new for each edge, every t below new
@@ -209,7 +215,7 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
                 target = pa_target(new)
             connect(new, target)
             prev = target
-    return build_graph(np.array(endpoints, dtype=np.int64).reshape(-1, 2), n)
+    return np.array(endpoints, dtype=np.int64).reshape(-1, 2)
 
 
 class Family(NamedTuple):

@@ -30,13 +30,13 @@ such nodes, and at one vdiamond per node most short nodes are empty, so
 that sort stays small. A trace record also counts the refused attempts,
 those that found the node empty.
 
-A thief's state is its position and its trail, the edge ids of its hops
-out from home. A walker appends the edge it takes; a loaded thief pops the
-last one and moves to that edge's other end, so no node path is stored.
-All trails share one flat array stored depth-major, thief t's hop i at
-``i * nt + t`` for nt thieves, so the shallow rows that nearly every hop
-reads and writes lie together; when a walker outgrows the array it doubles,
-the old rows copied into its front.
+A thief's state is its trail, the edge ids of its hops out from home, and
+a walker's position. A walker appends the edge it takes; a loaded thief
+pops the last one, crossing that edge back, and needs no position until it
+is home again, so no node path is stored. All trails share one flat array
+stored depth-major, thief t's hop i at ``i * nt + t`` for nt thieves, so
+the shallow rows that nearly every hop reads and writes lie together; when
+a walker outgrows the array it doubles, the old rows copied into its front.
 
 Score accumulation: with ``mean_convention="per-epoch"`` the sums over
 epochs 0..T (T+1 addends, where epoch 0 is the initial state) are divided
@@ -116,11 +116,13 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     fixed (graph, config, seed); equal to iterating the sequential reference
     ``epoch_step`` of ``tests/reference.py`` with the same generator.
 
-    Thief state is the ``pos``, ``carrying`` and ``depth`` vectors and one
+    Thief state is the ``pos``, ``carrying`` and ``top`` vectors and one
     flat ``trail`` array of rows of ``nt`` entries, one row per hop: thief
-    t's i-th outbound edge id is at ``i * nt + t``, for i below
-    ``depth[t]``. When a walker needs a row past the end, the array doubles
-    and the old rows are copied into its front.
+    t's i-th outbound edge id is at ``i * nt + t``, and ``top[t]`` is the
+    flat index of its next free slot, ``depth * nt + t``. A loaded thief's
+    ``pos`` is stale until it deposits and is set to its home. When a
+    walker needs a row past the end, the array doubles and the old rows are
+    copied into its front.
     """
     n, m = g.n, g.m
     if n < 2:
@@ -136,14 +138,13 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     carrying = np.zeros(nt, dtype=bool)
     pos = home.copy()
     trail = np.zeros(16 * nt, dtype=np.int64)
-    depth = np.zeros(nt, dtype=np.int64)
+    top = np.arange(nt, dtype=np.int64)  # every trail is empty: depth 0
 
     phi_sum = np.full(n, vd, dtype=np.int64)  # epoch-0 snapshot
     psi_sum = np.zeros(m, dtype=np.int64)
     trace = [TraceRecord(0, n * vd, 0, 0)] if collect_trace else None
 
     indptr, adj, adj_eids, deg = g.indptr, g.adj, g.adj_eids, g.degrees
-    ends = g.edge_u + g.edge_v  # an edge's far end is ends[e] minus the near one
 
     for epoch in range(1, epochs + 1):
         walk_ids = np.flatnonzero(~carrying)
@@ -151,28 +152,27 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
         draws = rng.random(walk_ids.size)
 
         # loaded thieves retrace one hop; those that arrive home deposit
-        d = depth[carr_ids] - 1
-        e = trail[d * nt + carr_ids]
-        np.add.at(psi_sum, e, 1)
-        pos[carr_ids] = ends[e] - pos[carr_ids]
-        depth[carr_ids] = d
-        dep_ids = carr_ids[d == 0]
+        t = top[carr_ids] - nt
+        np.add.at(psi_sum, trail[t], 1)
+        top[carr_ids] = t
+        dep_ids = carr_ids[t < nt]
         dep_nodes = home[dep_ids]
+        pos[dep_ids] = dep_nodes
         carrying[dep_ids] = False
 
         # empty-handed thieves hop to a uniform random neighbor
         at = pos[walk_ids]
         slots = indptr[at] + (draws * deg[at]).astype(np.int64)
         to = adj[slots]
-        d = depth[walk_ids]
-        if (d.max(initial=0) + 1) * nt > trail.size:
+        t = top[walk_ids]
+        if t.max(initial=0) >= trail.size:
             grown = np.zeros(2 * trail.size, dtype=np.int64)
             grown[:trail.size] = trail
             trail = grown
-        trail[d * nt + walk_ids] = adj_eids[slots]
+        trail[t] = adj_eids[slots]
         pos[walk_ids] = to
         away = to != home[walk_ids]
-        depth[walk_ids] = np.where(away, d + 1, 0)  # trail restarts at home
+        top[walk_ids] = np.where(away, t + nt, walk_ids)  # trail restarts at home
         att_ids = walk_ids[away]
         att_nodes = to[away]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from centbench import build_graph
+from centbench import build_graph, gen_holme_kim
 
 
 def path_graph(n):
@@ -62,3 +62,9 @@ def random_connected_graph(n, p, rng, max_tries=200):
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240808)
+
+
+@pytest.fixture(scope="session")
+def criterion6_graph():
+    """The Holme-Kim graph of acceptance criterion 6, n=10^4, made once."""
+    return gen_holme_kim(10000, 5, 0.3, seed=606)

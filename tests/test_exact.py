@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from centbench import (DisconnectedGraphError, GeneratorSpec,
+import centbench.exact
+from centbench import (DisconnectedGraphError, ExperimentConfig, GeneratorSpec,
                        betweenness_centrality, build_graph,
                        closeness_centrality, clustering_coefficient,
                        degree_centrality, gen_holme_kim, is_connected,
@@ -167,13 +168,12 @@ class TestCloseness:
                 fn(g)
             assert str(info.value) == message
 
-    def test_memory_bounded_on_criterion6_graph(self):
+    def test_memory_bounded_on_criterion6_graph(self, criterion6_graph):
         # the bitsets of one 256-source block: the peak measured 7.2 MB,
         # and a 1024-source block exceeds the bound
-        g = gen_holme_kim(10000, 5, 0.3, seed=606)
         tracemalloc.start()
         try:
-            closeness_centrality(g)
+            closeness_centrality(criterion6_graph)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -196,12 +196,20 @@ class TestClustering:
         assert cc[2] == pytest.approx(2 / 3)
         assert cc[3] == pytest.approx(2 / 3)
 
-    def test_triangle_counts_match_dense_reference(self, np_rng):
+    @pytest.mark.parametrize("wedges", [1, 3, None],
+                             ids=["one-slot-chunks", "chunks-end-in-rows",
+                                  "default"])
+    def test_triangle_counts_match_dense_reference(self, np_rng, monkeypatch,
+                                                   wedges):
         """The forward count equals closed 3-walks / 2 from a dense matrix.
 
         Random graphs on few nodes have many equal degrees, so the (degree,
-        id) rank order and the orientation of tied edges are exercised.
+        id) rank order and the orientation of tied edges are exercised. A
+        small wedge budget splits the count into chunks of one slot each, or
+        into chunks that end inside an out-row.
         """
+        if wedges is not None:
+            monkeypatch.setattr(centbench.exact, "_WEDGES", wedges)
         def reference(g):
             a = np.zeros((g.n, g.n))
             a[g.edge_u, g.edge_v] = a[g.edge_v, g.edge_u] = 1.0
@@ -214,6 +222,33 @@ class TestClustering:
         for g in graphs:
             assert triangle_counts(g).tolist() == reference(g).tolist(), g
         assert triangle_counts(complete_graph(7)).tolist() == [15] * 7
+
+    # tracemalloc peaks of triangle_counts measured 4.3 MB on the criterion-6
+    # graph and 3.1 MB on the SF m=25 LCC of the dense desk row (n=1000,
+    # m=24375); the bounds leave about 25% headroom. Listing every wedge at
+    # once peaks at 7.2 and 14.3 MB
+    def test_memory_bounded_on_criterion6_graph(self, criterion6_graph):
+        tracemalloc.start()
+        try:
+            triangle_counts(criterion6_graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.4e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_memory_bounded_on_a_dense_desk_cell(self):
+        cfg = ExperimentConfig(n=1000, sf_m=[25], base_seed=20240807)
+        family, param, seed = cfg.cells()[0]
+        g, _ = largest_connected_component(
+            cfg.generator_spec(family, param, seed).generate())
+        assert (family, param, g.m) == ("SF", 25, 24375)
+        tracemalloc.start()
+        try:
+            triangle_counts(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.9e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestNetworkxCrossCheck:
@@ -251,8 +286,8 @@ class TestNetworkxCrossCheck:
         want_cl = self.as_array(nx.closeness_centrality(h), g.n) * g.n / (g.n - 1)
         assert np.allclose(closeness_centrality(g), want_cl, rtol=1e-12, atol=0)
 
-    def test_clustering_on_criterion6_graph(self, nx):
-        g = gen_holme_kim(10000, 5, 0.3, seed=606)
+    def test_clustering_on_criterion6_graph(self, nx, criterion6_graph):
+        g = criterion6_graph
         h = self.to_nx(nx, g)
         assert np.array_equal(triangle_counts(g),
                               self.as_array(nx.triangles(h), g.n))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,18 @@ class TestHolmeKim:
         a = gen_holme_kim(200, 3, 0.3, seed=42)
         b = gen_holme_kim(200, 3, 0.3, seed=42)
         assert a.edge_list() == b.edge_list()
+
+    def test_memory_bounded_on_criterion6_graph(self):
+        # the growth loop's sets and lists are freed before the CSR build:
+        # the tracemalloc peak measured 7.3 MB, and the bound leaves about
+        # 25% headroom. Keeping them alive through the build peaks at 12.5 MB
+        tracemalloc.start()
+        try:
+            gen_holme_kim(10000, 5, 0.3, seed=606)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.2e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestRecordedEdgeLists:

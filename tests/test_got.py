@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from centbench import (GotConfig, build_graph, default_epochs, gen_holme_kim,
-                       run_got)
+from centbench import GotConfig, build_graph, default_epochs, run_got
 from centbench.got import _resolve_pickups
 from centbench.rng import make_rng
 
@@ -348,11 +347,6 @@ def check_against_naive(counts, nt, att_ids, att_nodes, dep_ids, dep_nodes):
     assert counts.tolist() == want_counts.tolist()
     assert carrying.tolist() == want_carrying.tolist()
     return carrying, shape
-
-
-@pytest.fixture(scope="module")
-def criterion6_graph():
-    return gen_holme_kim(10000, 5, 0.3, seed=606)
 
 
 class TestCriterion6Graph:

@@ -6,8 +6,8 @@ import pytest
 
 import centbench.kpath
 from centbench import (ExperimentConfig, KpathConfig, build_graph,
-                       derive_seed, gen_holme_kim, largest_connected_component,
-                       spearman, werw_kpath)
+                       derive_seed, largest_connected_component, spearman,
+                       werw_kpath)
 
 from conftest import (complete_graph, path_graph,
                       random_connected_graph, star_graph)
@@ -153,13 +153,12 @@ class TestWerwKpath:
         b = werw_kpath(shuffled, KpathConfig(k=3, rho=2000, seed=77))
         assert np.array_equal(b, a[perm])
 
-    def test_memory_bounded_on_criterion6_graph(self):
+    def test_memory_bounded_on_criterion6_graph(self, criterion6_graph):
         # 400k walks in blocks of BLOCK_WALKS: the tracemalloc peak measured
         # 12.65 MB, and the bound leaves about 25% headroom
-        g = gen_holme_kim(10000, 5, 0.3, seed=606)
         tracemalloc.start()
         try:
-            werw_kpath(g, KpathConfig(seed=607))
+            werw_kpath(criterion6_graph, KpathConfig(seed=607))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
