@@ -121,7 +121,8 @@ def _cmd_got(args) -> int:
 
 
 def _cmd_kpath(args) -> int:
-    cfg = KpathConfig(k=args.k, rho=args.rho, seed=args.seed)
+    cfg = KpathConfig(k=args.k, walks_per_slot=args.walks_per_slot,
+                      seed=args.seed)
     scores = werw_kpath(_read_graph(args), cfg)
     _write_scores(scores, args.out, args.format)
     return 0
@@ -202,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kpath", help="weighted edge random-walk k-path scores")
     _add_graph_arg(p)
     p.add_argument("--k", type=int, default=KpathConfig.k)
-    p.add_argument("--rho", type=int, default=None,
-                   help="walk count, at least 2 x edge count (default: "
-                        "8 x edge count, four walks per adjacency slot)")
+    p.add_argument("--walks-per-slot", type=int,
+                   default=KpathConfig.walks_per_slot,
+                   help="walks on each adjacency slot, at least 1 (default: "
+                        "%(default)s, so 8 x edge count walks in all)")
     p.add_argument("--seed", type=int, default=KpathConfig.seed)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")

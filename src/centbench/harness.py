@@ -98,11 +98,11 @@ class ExperimentConfig:
     def __post_init__(self):
         check_fields(self, _VALUE_TYPES, "config key ")
         for row in FAMILIES.values():
-            object.__setattr__(self, row.key,
-                               [row.kind(v) for v in getattr(self, row.key)])
-        if self.seeds_per_cell < 1:
-            raise ValueError(f"config key seeds_per_cell must be at least 1, "
-                             f"got {self.seeds_per_cell!r}")
+            values = [row.kind(v) for v in getattr(self, row.key)]
+            if len(set(values)) < len(values):  # each would run twice
+                raise ValueError(f"config key {row.key} must hold distinct "
+                                 f"values, got {values}")
+            object.__setattr__(self, row.key, values)
         for section in _SEEDED:
             if seed := getattr(self, section).seed:
                 raise ValueError(f"config key {section}.seed must be 0 (the "
@@ -199,6 +199,8 @@ _VALUE_TYPES = (
     (tuple(_AUX_DEFAULTS), is_number, "a number"),
     (tuple(_AUX_DEFAULTS), lambda p: 0 <= p <= 1, "in [0, 1]"),
     (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
+    (("n",), lambda n: n >= 2, "at least 2"),
+    (("seeds_per_cell",), lambda v: v >= 1, "at least 1"),
 )
 
 

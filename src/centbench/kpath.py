@@ -15,16 +15,14 @@ an edge over the total weighted mass estimates the fraction of the source's
 trails using that edge. Summing the per-source ratios over sources gives
 the exact score in the many-walk limit.
 
-Allotment. The rho walks are allotted to the 2m adjacency slots (one slot
-per source and incident edge): floor(rho / 2m) walks each, plus one more
-for the first rho mod 2m slots in CSR order. A walk's first step is its
-slot, so the first level is stratified by construction: a source's total
-mass is the sum over its slots of the slot's mean walk mass, and each walk
-carries the coefficient 1 / (walks on its slot * source total). rho < 2m
-would leave slots without a walk and is rejected. The final level is never
-sampled: a walk stops one step short of k, and every admissible completion
-is added analytically. Together these make the estimate exact for k = 1
-and k = 2 at every accepted rho.
+Allotment. Each of the 2m adjacency slots (one slot per source and
+incident edge) gets ``walks_per_slot`` walks, and a walk's first step is
+its slot, so the first level is stratified by construction: a source's
+total mass is the sum over its slots of the slot's mean walk mass, and each
+walk carries the coefficient 1 / (walks_per_slot * source total). The
+final level is never sampled: a walk stops one step short of k, and every
+admissible completion is added analytically. Together these make the
+estimate exact for k = 1 and k = 2 at any ``walks_per_slot``.
 
 Steps. At the current node, the admissible count adm is the degree minus
 the trail edges at that node. The step takes the r-th admissible slot in
@@ -45,11 +43,11 @@ stored step-major, one row per step, so a step reads and writes whole rows.
 
 Budget. Each source's ratio of two sampled masses is a ratio estimator,
 biased by O(1/walks) (Cochran, *Sampling Techniques*, ch. 6). Rather than
-correct it, the default rho = 8m, four walks per slot, pushes it below the
-run-to-run noise: on three random n = 8 graphs at k = 3 and 5, the mean
+correct it, the default of four walks per slot (8m walks) pushes it below
+the run-to-run noise: on three random n = 8 graphs at k = 3 and 5, the mean
 over 1000 seeds stays within 5% of the enumeration oracle on every edge
-(2.5% worst measured, against 12-39% for an equal split of rho = max(m, n)
-walks over the sources).
+(2.5% worst measured, against 12-39% for an equal split of max(m, n) walks
+over the sources).
 
 Blocking. Walks run in blocks of whole sources of at most ``BLOCK_WALKS``
 walks, all steps of a block at once, so memory stays bounded whatever the
@@ -66,8 +64,10 @@ share is split into an integer multiple of 1 / scale and a remainder
 rounded to a multiple of 1 / (scale * fine), about 2^-70 at n = 1000, and
 both parts are summed as exact integers (rounding is symmetric, so a
 negated share is exact too). The sums therefore do not depend on the walk
-order, and the result is rounded once, so structurally symmetric edges come
-out exactly tied wherever the walks are forced (k <= 2, paths, cycles).
+order. The factor 1 / walks_per_slot that every walk's coefficient shares
+is left out of the shares and applied to the sums once, at the end, and the
+result is rounded once, so structurally symmetric edges come out exactly
+tied wherever the walks are forced (k <= 2, paths, cycles).
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, check_fields, is_int, is_int_or_null
+from .graph import Graph, check_fields, is_int
 from .rng import make_rng
 
 BLOCK_WALKS = 2048  # walks stepped at once; bounds the block arrays
@@ -85,27 +85,20 @@ _NO_SLOT = np.iinfo(np.int64).max
 @dataclass(frozen=True)
 class KpathConfig:
     """Walk parameters; a field of the wrong type or out of range raises
-    ValueError led by its name (``resolve`` checks rho against the graph)."""
+    ValueError led by its name."""
     k: int = 10
-    rho: int | None = None  # walk count; None resolves to 8m
+    walks_per_slot: int = 4  # walks on each of the 2m adjacency slots
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, ((("k", "seed"), is_int, "an integer"),
-                            (("rho",), is_int_or_null, "an integer or null"),
-                            (("k",), lambda k: k >= 1, "at least 1")))
+        check_fields(self, ((("k", "walks_per_slot", "seed"), is_int,
+                             "an integer"),
+                            (("k", "walks_per_slot"), lambda v: v >= 1,
+                             "at least 1")))
 
     def resolve(self, m: int) -> tuple[int, int]:
-        """Concrete (k, rho) for a graph with m edges.
-
-        The walks are allotted to the 2m adjacency slots, so rho must give
-        every slot at least one walk: rho < 2m raises ValueError.
-        """
-        rho = self.rho if self.rho is not None else 8 * m
-        if rho < 2 * m:
-            raise ValueError(f"need rho >= 2m (one walk per adjacency slot), "
-                             f"got rho={rho}, m={m}")
-        return self.k, rho
+        """(k, total walks) for a graph with m edges."""
+        return self.k, 2 * m * self.walks_per_slot
 
 
 def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
@@ -116,26 +109,26 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    k, rho = cfg.resolve(g.m)
+    k, budget = cfg.resolve(g.m)
+    per_slot = cfg.walks_per_slot
     rng = make_rng(cfg.seed)
-    per_slot, extra = divmod(rho, 2 * g.m)
-    reps = per_slot + (np.arange(2 * g.m) < extra)
     owner = np.repeat(np.arange(g.n), g.degrees)
     # twin[s]: the other slot of the edge in slot s
     by_edge = np.argsort(g.adj_eids, kind="stable")
     twin = np.empty(2 * g.m, dtype=np.int64)
     twin[by_edge[0::2]], twin[by_edge[1::2]] = by_edge[1::2], by_edge[0::2]
-    source_walks = np.cumsum(np.bincount(owner, reps, minlength=g.n))
+    source_walks = np.cumsum(per_slot * g.degrees)
     slot_mass = np.zeros(2 * g.m)
     # A walk's masses over its source's total are split into multiples of
     # 1 / scale and a remainder in multiples of 1 / (scale * fine). Both
     # parts are summed as exact integers (under 2^53), in any order. Index
-    # [limb, class, id]: class 0 takes the slots with per_slot walks, class 1
-    # the slots with one more.
+    # [limb, id]. scale leaves room for per_slot + 1 walks a slot: dropping
+    # the + 1 would move the grid (15 bits against 14 at n = 1000), and with
+    # it the low bits of every score and the pinned digests.
     scale = 2.0 ** (52 - (4 * (per_slot + 1) * g.n).bit_length())
-    fine = 2.0 ** (52 - (2 * rho).bit_length())
-    trail_acc = np.zeros((2, 2 * g.m))
-    node_acc = np.zeros((2, 2 * g.n))
+    fine = 2.0 ** (52 - (2 * budget).bit_length())
+    trail_acc = np.zeros((2, g.m))
+    node_acc = np.zeros((2, g.n))
 
     def add(acc, index, share):
         units = share * scale
@@ -149,7 +142,7 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
         hi = max(int(np.searchsorted(source_walks, done + BLOCK_WALKS,
                                      side="right")), lo + 1)
         first, last = g.indptr[lo], g.indptr[hi]
-        walk_slot = np.repeat(np.arange(first, last), reps[first:last])
+        walk_slot = np.repeat(np.arange(first, last), per_slot)
         held = []
         for c in range(0, walk_slot.size, BLOCK_WALKS):
             slot = walk_slot[c:c + BLOCK_WALKS]
@@ -157,24 +150,20 @@ def werw_kpath(g: Graph, cfg: KpathConfig) -> np.ndarray:
             np.add.at(slot_mass, slot, walks.suffix[0])
             held.append((slot, walks))
         source_mass = np.bincount(owner[first:last] - lo,
-                                  slot_mass[first:last] / reps[first:last],
+                                  slot_mass[first:last] / per_slot,
                                   minlength=hi - lo)
         for slot, walks in held:
             total = source_mass[owner[slot] - lo]
-            cls = slot < extra
             on = walks.trail >= 0
-            add(trail_acc, (walks.trail + g.m * cls)[on],
-                (walks.suffix / total)[on])
+            add(trail_acc, walks.trail[on], (walks.suffix / total)[on])
             ended, at = walks.complete, walks.end_walk
             tail = walks.last_weight / total[ended]
-            add(node_acc, walks.end + g.n * cls[ended], tail)
-            add(trail_acc, walks.end_edge + g.m * cls[ended[at]], -tail[at])
+            add(node_acc, walks.end, tail)
+            add(trail_acc, walks.end_edge, -tail[at])
         lo = hi
 
-    node_acc = node_acc.reshape(2, 2, g.n)
-    units = (trail_acc.reshape(2, 2, g.m)
-             + (node_acc[..., g.edge_u] + node_acc[..., g.edge_v]))
-    units = units[:, 0] / per_slot + units[:, 1] / (per_slot + 1)
+    units = trail_acc + (node_acc[:, g.edge_u] + node_acc[:, g.edge_v])
+    units /= per_slot
     return (units[0] + units[1] / fine) / scale
 
 

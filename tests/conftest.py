@@ -59,6 +59,12 @@ def random_connected_graph(n, p, rng, max_tries=200):
     raise RuntimeError("could not sample a connected graph")
 
 
+def per_slot_for(walks, g):
+    """The fewest k-path walks per adjacency slot that give ``g`` at least
+    ``walks`` walks in all."""
+    return -(-walks // (2 * g.m))
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240808)

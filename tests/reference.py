@@ -34,50 +34,48 @@ import numpy as np
 from centbench import DisconnectedGraphError, GotConfig, Graph, make_rng
 
 
-def werw_kpath_reference(g: Graph, k: int, rho: int, seed: int) -> np.ndarray:
+def werw_kpath_reference(g: Graph, k: int, walks_per_slot: int,
+                         seed: int) -> np.ndarray:
     """Per-slot weighted trail sampler, one scalar walk at a time.
 
-    Slot i (CSR order) gets rho // 2m walks, plus one if i < rho % 2m; a
-    walk's first edge is its slot. Every walk reads its own row of one
-    ``rng.random((rho, k - 2))`` block. A walk's masses over its source's
-    total are summed as exact integers in two limbs (multiples of 1 / scale,
-    and of 1 / (scale * fine) for the remainder), per class of slot
-    (rho // 2m walks or one more): trail masses per edge, completion masses
-    per end node, and the trail edges at the end node taken back out of
-    their node's completions.
+    Each slot (CSR order) gets walks_per_slot walks; a walk's first edge is
+    its slot. Every walk reads its own row of one
+    ``rng.random((2m * walks_per_slot, k - 2))`` block. A walk's masses over
+    its source's total are summed as exact integers in two limbs (multiples
+    of 1 / scale, and of 1 / (scale * fine) for the remainder): trail masses
+    per edge, completion masses per end node, and the trail edges at the end
+    node taken back out of their node's completions.
     """
-    if g.m == 0 or k < 1 or rho < 2 * g.m:
-        raise ValueError(f"need m >= 1, k >= 1 and rho >= 2m, got "
-                         f"m={g.m}, k={k}, rho={rho}")
+    if g.m == 0 or k < 1 or walks_per_slot < 1:
+        raise ValueError(f"need m >= 1, k >= 1 and walks_per_slot >= 1, got "
+                         f"m={g.m}, k={k}, walks_per_slot={walks_per_slot}")
     rng = make_rng(seed)
     rows = [list(zip(g.neighbors(u).tolist(),
                      g.adj_eids[g.indptr[u]:g.indptr[u + 1]].tolist()))
             for u in range(g.n)]
     ends = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
-    per_slot, extra = divmod(rho, 2 * g.m)
+    budget = 2 * g.m * walks_per_slot
     length = max(k - 1, 1)
-    draws = rng.random((rho, max(k - 2, 0))).tolist()
-    scale = 2.0 ** (52 - (4 * (per_slot + 1) * g.n).bit_length())
-    fine = 2.0 ** (52 - (2 * rho).bit_length())
-    # exact integer sums, indexed [limb][class][id]
-    trail_acc = [[[0] * g.m for _ in range(2)] for _ in range(2)]
-    node_acc = [[[0] * g.n for _ in range(2)] for _ in range(2)]
-    back_acc = [[[0] * g.m for _ in range(2)] for _ in range(2)]
+    draws = rng.random((budget, max(k - 2, 0))).tolist()
+    scale = 2.0 ** (52 - (4 * (walks_per_slot + 1) * g.n).bit_length())
+    fine = 2.0 ** (52 - (2 * budget).bit_length())
+    # exact integer sums, indexed [limb][id]
+    trail_acc = [[0] * g.m for _ in range(2)]
+    node_acc = [[0] * g.n for _ in range(2)]
+    back_acc = [[0] * g.m for _ in range(2)]
 
-    def add(acc, cls, i, share):
+    def add(acc, i, share):
         units = share * scale
         whole = round(units)
-        acc[0][cls][i] += whole
-        acc[1][cls][i] += round((units - whole) * fine)
+        acc[0][i] += whole
+        acc[1][i] += round((units - whole) * fine)
     walk = 0
     for source in range(g.n):
         walks = []
         source_mass = 0.0
-        for i, (first_node, first_edge) in enumerate(rows[source]):
-            cls = 1 if int(g.indptr[source]) + i < extra else 0
-            reps = per_slot + cls
+        for first_node, first_edge in rows[source]:
             slot_mass = 0.0
-            for _ in range(reps):
+            for _ in range(walks_per_slot):
                 trail, weights, node, w = [first_edge], [1.0], first_node, 1.0
                 for u in draws[walk][:length - 1]:
                     admissible = [(v, e) for v, e in rows[node]
@@ -101,20 +99,19 @@ def werw_kpath_reference(g: Graph, k: int, rho: int, seed: int) -> np.ndarray:
                     mass += weights[t]
                     suffix[t] = mass
                 slot_mass += suffix[0]
-                walks.append((cls, trail, suffix, node, w, at_end))
-            source_mass += slot_mass / reps
-        for cls, trail, suffix, node, w, at_end in walks:
+                walks.append((trail, suffix, node, w, at_end))
+            source_mass += slot_mass / walks_per_slot
+        for trail, suffix, node, w, at_end in walks:
             for e, mass in zip(trail, suffix):
-                add(trail_acc, cls, e, mass / source_mass)
+                add(trail_acc, e, mass / source_mass)
             if at_end is not None:
-                add(node_acc, cls, node, w / source_mass)
+                add(node_acc, node, w / source_mass)
                 for e in at_end:
-                    add(back_acc, cls, e, w / source_mass)
+                    add(back_acc, e, w / source_mass)
     node_acc = np.asarray(node_acc, dtype=np.float64)
     units = (np.asarray(trail_acc, dtype=np.float64)
-             + (node_acc[..., g.edge_u] + node_acc[..., g.edge_v])
-             - np.asarray(back_acc, dtype=np.float64))
-    units = units[:, 0] / per_slot + units[:, 1] / (per_slot + 1)
+             + (node_acc[:, g.edge_u] + node_acc[:, g.edge_v])
+             - np.asarray(back_acc, dtype=np.float64)) / walks_per_slot
     return (units[0] + units[1] / fine) / scale
 
 

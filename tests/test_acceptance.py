@@ -32,8 +32,8 @@ from centbench import (ExperimentConfig, GotConfig, KpathConfig,
                        pearson, run_experiment, run_got, spearman, werw_kpath)
 from centbench.rng import derive_seed
 
-from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
-                      random_connected_graph, star_graph)
+from conftest import (complete_graph, cycle_graph, path_graph, per_slot_for,
+                      random_graph, random_connected_graph, star_graph)
 from reference import oracle_betweenness, oracle_kpath
 
 
@@ -180,7 +180,8 @@ def test_criterion4_kpath_rank_fidelity():
                 # k >= 3; rank agreement is only measurable on tie-free
                 # oracles there (k <= 2 estimates are exact, ties included)
                 continue
-            est = werw_kpath(g, KpathConfig(k=k, rho=10000, seed=idx * 7 + k))
+            est = werw_kpath(g, KpathConfig(
+                k=k, walks_per_slot=per_slot_for(10000, g), seed=idx * 7 + k))
             s = spearman(est, oracle)
             worst[k] = min(worst[k], s)
             checked[k] += 1

@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -149,10 +150,10 @@ class TestGotAndKpath:
     def test_kpath(self, graph_file, tmp_path):
         out = tmp_path / "kp.txt"
         run_cli("kpath", "--graph", str(graph_file), "--k", "3",
-                "--rho", "600", "--seed", "2", "--out", str(out))
+                "--walks-per-slot", "50", "--seed", "2", "--out", str(out))
         from centbench import werw_kpath
         g = read_edge_list(graph_file)
-        want = werw_kpath(g, KpathConfig(k=3, rho=600, seed=2))
+        want = werw_kpath(g, KpathConfig(k=3, walks_per_slot=50, seed=2))
         assert np.array_equal(read_scores(out), want)
 
     def test_lcc_and_default_seeds(self, tmp_path):
@@ -326,6 +327,12 @@ class TestErrors:
         ({"kpath": {"k": 0}}, "config key kpath.k must be at least 1, got 0"),
         ({"sf_triangle_p": 1.5},
          "config key sf_triangle_p must be in [0, 1], got 1.5"),
+        ({"kpath": {"walks_per_slot": 0}},
+         "config key kpath.walks_per_slot must be at least 1, got 0"),
+        ({"n": 1}, "config key n must be at least 2, got 1"),
+        ({"er_p": [0.05, 0.05]},
+         "config key er_p must hold distinct values, got [0.05, 0.05]"),
+        ({"kpath": {"rho": 20000}}, "unknown config key(s): kpath.rho"),
     ])
     def test_bad_shared_setting_exits_two_before_any_cell(
             self, tmp_path, capsys, section, message):
@@ -376,12 +383,27 @@ def test_got_refuses_the_removed_epoch_log_base_option(tmp_path, capsys):
     assert "--epoch-log-base" in capsys.readouterr().err
 
 
-def test_kpath_help_states_default_rho(capsys):
+def test_kpath_refuses_the_removed_rho_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("kpath", "--graph", str(tmp_path / "g.edges"), "--rho", "600")
+    assert err.value.code == 2
+    assert "--rho" in capsys.readouterr().err
+
+
+def test_kpath_walks_per_slot_below_one_exits_two(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n1 2\n")
+    assert run_cli("kpath", "--graph", str(path), "--walks-per-slot", "0") == 2
+    assert capsys.readouterr().err == \
+        "centbench: error: walks_per_slot must be at least 1, got 0\n"
+
+
+def test_kpath_help_states_default_walks_per_slot(capsys):
     with pytest.raises(SystemExit):
         run_cli("kpath", "--help")
     help_text = " ".join(capsys.readouterr().out.split())
-    assert ("walk count, at least 2 x edge count (default: 8 x edge count, "
-            "four walks per adjacency slot)") in help_text
+    assert ("walks on each adjacency slot, at least 1 (default: 4, so 8 x "
+            "edge count walks in all)") in help_text
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -397,7 +419,14 @@ def readme_block(after, fence):
 
 def test_readme_config_example_loads():
     block = readme_block("## Experiment config", "```json")
-    ExperimentConfig.from_dict(json.loads("\n".join(block)))
+    example = json.loads("\n".join(block))
+    ExperimentConfig.from_dict(example)
+    # every key a config file can hold, so a renamed or added field cannot
+    # leave the example behind (the section seeds are derived per cell)
+    names = lambda cls: {f.name for f in fields(cls)} - {"seed"}
+    assert set(example) == names(ExperimentConfig)
+    assert set(example["got"]) == names(GotConfig)
+    assert set(example["kpath"]) == names(KpathConfig)
 
 
 def test_readme_cli_example_parses():

@@ -96,8 +96,8 @@ BAD_CONFIGS = [
      r"^unknown config key\(s\): got\.log_base$"),
     ({"n": 50, "kpath": {"k": "3"}},
      r"^config key kpath\.k must be an integer, got '3'$"),
-    ({"n": 50, "kpath": {"rho": 2.0}},
-     r"^config key kpath\.rho must be an integer or null, got 2\.0$"),
+    ({"n": 50, "kpath": {"walks_per_slot": 2.0}},
+     r"^config key kpath\.walks_per_slot must be an integer, got 2\.0$"),
     # run_cell derives the got and kpath seeds per cell (got.seed is the
     # last case, so the ids of the cases after this one stay)
     ({"n": 50, "kpath": {"seed": None}},
@@ -130,6 +130,22 @@ BAD_CONFIGS = [
     ({"n": 50, "got": {"mean_convention": 1}},
      r"^config key got\.mean_convention must be one of "
      r"\('per-epoch', 'arithmetic'\), got 1$"),
+    # the total walk count gave way to a whole count per slot
+    ({"n": 50, "kpath": {"rho": 20000}},
+     r"^unknown config key\(s\): kpath\.rho$"),
+    ({"n": 50, "kpath": {"walks_per_slot": 0}},
+     r"^config key kpath\.walks_per_slot must be at least 1, got 0$"),
+    ({"n": 50, "kpath": {"walks_per_slot": "4"}},
+     r"^config key kpath\.walks_per_slot must be an integer, got '4'$"),
+    # no graph has an edge below two nodes, so every cell would fail
+    ({"n": 0, "sf_m": [2], "er_p": [0.5]},
+     r"^config key n must be at least 2, got 0$"),
+    ({"n": 1, "er_p": [0.5]}, r"^config key n must be at least 2, got 1$"),
+    # a repeated parameter would run its cells twice, with the same seeds
+    ({"n": 50, "sf_m": [2, 2.0]},
+     r"^config key sf_m must hold distinct values, got \[2, 2\]$"),
+    ({"n": 50, "er_p": [1, 1.0]},
+     r"^config key er_p must hold distinct values, got \[1\.0, 1\.0\]$"),
 ]
 
 
@@ -200,11 +216,11 @@ class TestExperimentConfig:
             n=np.int64(50), sf_m=[np.int32(2)], seeds_per_cell=np.int64(2),
             sf_triangle_p=np.float32(0.5),
             got=GotConfig(epochs=np.int64(5), thieves_per_node=np.uint8(2)),
-            kpath=KpathConfig(k=np.int32(3), rho=np.int64(400)))
+            kpath=KpathConfig(k=np.int32(3), walks_per_slot=np.int64(3)))
         twin = ExperimentConfig(
             n=50, sf_m=[2], seeds_per_cell=2, sf_triangle_p=0.5,
             got=GotConfig(epochs=5, thieves_per_node=2),
-            kpath=KpathConfig(k=3, rho=400))
+            kpath=KpathConfig(k=3, walks_per_slot=3))
         assert cfg.sf_m == [2] and type(cfg.sf_m[0]) is int
 
         def typed(v):
@@ -231,7 +247,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict(
             {"n": 50, "sf_m": [5.0], "sw_k": [4],
              "got": {"epochs": None, "vdiamonds_per_node": None},
-             "kpath": {"k": 3, "rho": None}})
+             "kpath": {"k": 3, "walks_per_slot": 4}})
         assert cfg.sf_m == [5]
         assert cfg.got == GotConfig()
         assert cfg.kpath == KpathConfig(k=3)

@@ -9,7 +9,7 @@ from centbench import (ExperimentConfig, KpathConfig, build_graph,
                        derive_seed, largest_connected_component, spearman,
                        werw_kpath)
 
-from conftest import (complete_graph, path_graph,
+from conftest import (complete_graph, path_graph, per_slot_for,
                       random_connected_graph, star_graph)
 from reference import oracle_kpath, werw_kpath_reference
 
@@ -45,8 +45,9 @@ class TestOracle:
 class TestWerwKpath:
     def test_single_edge_forced_walks(self):
         g = build_graph([(0, 1)], 2)
-        for rho in (None, 2, 3, 4):
-            scores = werw_kpath(g, KpathConfig(k=10, rho=rho, seed=3))
+        for per_slot in (1, 2, 4):
+            scores = werw_kpath(g, KpathConfig(k=10, walks_per_slot=per_slot,
+                                               seed=3))
             assert scores.tolist() == [2.0]
 
     def test_empty_graph_rejected(self):
@@ -57,7 +58,7 @@ class TestWerwKpath:
         with pytest.raises(ValueError):
             werw_kpath(path_graph(3), KpathConfig(k=0))
         with pytest.raises(ValueError):
-            werw_kpath(path_graph(3), KpathConfig(rho=0))
+            werw_kpath(path_graph(3), KpathConfig(walks_per_slot=0))
 
     def test_k_below_one_rejected_when_built(self):
         for k in (0, -2):
@@ -65,17 +66,17 @@ class TestWerwKpath:
                 KpathConfig(k=k)
             assert str(err.value) == f"k must be at least 1, got {k}"
 
-    def test_rho_below_slot_count_rejected(self):
-        # rho < 2m walks would leave some adjacency slots without any
-        with pytest.raises(ValueError, match="rho >= 2m"):
-            werw_kpath(path_graph(8), KpathConfig(k=2, rho=13))
-        with pytest.raises(ValueError, match="rho >= 2m"):
-            KpathConfig(rho=19).resolve(10)
-        assert KpathConfig(rho=14).resolve(7) == (10, 14)
+    def test_resolve_gives_the_total_walk_count(self):
+        assert KpathConfig(walks_per_slot=1).resolve(7) == (10, 14)
         assert KpathConfig().resolve(7) == (10, 56)
-        assert KpathConfig().resolve(25) == (10, 200)
+        assert KpathConfig(k=3).resolve(25) == (3, 200)
 
-    def test_default_rho_covers_every_source(self):
+    def test_rho_is_not_a_field(self):
+        # the total walk count gave way to a whole count per slot
+        with pytest.raises(TypeError, match="rho"):
+            KpathConfig(rho=400)
+
+    def test_default_budget_covers_every_source(self):
         # every adjacency slot gets walks, so the highest-id sources do too
         g = path_graph(8)
         reversed_ids = build_graph([(7 - u, 7 - v) for u, v in g.edge_list()], 8)
@@ -85,14 +86,15 @@ class TestWerwKpath:
 
     def test_deterministic(self, np_rng):
         g = random_connected_graph(20, 0.25, np_rng)
-        a = werw_kpath(g, KpathConfig(k=5, rho=500, seed=42))
-        b = werw_kpath(g, KpathConfig(k=5, rho=500, seed=42))
+        cfg = KpathConfig(k=5, walks_per_slot=per_slot_for(500, g), seed=42)
+        a = werw_kpath(g, cfg)
+        b = werw_kpath(g, cfg)
         assert np.array_equal(a, b)
 
     def test_exact_for_k_up_to_two(self, np_rng):
-        # every first-edge stratum (adjacency slot) gets walks at the default
-        # rho, and the last level is analytic, so k <= 2 estimates equal the
-        # oracle up to float rounding
+        # every first-edge stratum (adjacency slot) gets walks, and the last
+        # level is analytic, so k <= 2 estimates equal the oracle up to float
+        # rounding
         for _ in range(6):
             g = random_connected_graph(int(np_rng.integers(3, 9)), 0.5, np_rng)
             for k in (1, 2):
@@ -101,7 +103,7 @@ class TestWerwKpath:
 
     def test_seed_mean_matches_oracle_at_default_budget(self):
         # the per-source ratio of sampled masses is biased by O(1/walks);
-        # at the default rho the mean over seeds must sit within 5% of the
+        # at the default budget the mean over seeds must sit within 5% of the
         # oracle on every edge
         rng = np.random.default_rng(5)
         worst = []
@@ -116,14 +118,16 @@ class TestWerwKpath:
         assert max(w for _, _, w in worst) <= 0.05, worst
 
     def test_p3_symmetry_converges(self):
-        scores = werw_kpath(path_graph(3), KpathConfig(k=1, rho=20000, seed=11))
+        scores = werw_kpath(path_graph(3),
+                            KpathConfig(k=1, walks_per_slot=5000, seed=11))
         assert np.allclose(scores, 1.5)
 
     def test_mass_bound(self, np_rng):
         # per source the trail-length fractions sum to at most k
         g = random_connected_graph(12, 0.3, np_rng)
         k = 4
-        scores = werw_kpath(g, KpathConfig(k=k, rho=3000, seed=5))
+        scores = werw_kpath(g, KpathConfig(
+            k=k, walks_per_slot=per_slot_for(3000, g), seed=5))
         assert scores.sum() <= g.n * k + 1e-9
         assert np.all(scores >= 0)
 
@@ -138,8 +142,9 @@ class TestWerwKpath:
             oracle = oracle_kpath(g, k)
             if len(np.unique(oracle)) < max(2, oracle.size):
                 continue  # constant or tied oracles cannot be rank-compared
-            est = werw_kpath(g, KpathConfig(k=k, rho=10000,
-                                            seed=int(np_rng.integers(2**32))))
+            est = werw_kpath(g, KpathConfig(
+                k=k, walks_per_slot=per_slot_for(10000, g),
+                seed=int(np_rng.integers(2**32))))
             assert spearman(est, oracle) >= 0.9
             checked += 1
         assert checked == 30
@@ -149,8 +154,9 @@ class TestWerwKpath:
         edges = g.edge_list()
         perm = np_rng.permutation(len(edges))
         shuffled = build_graph([edges[i] for i in perm], g.n)
-        a = werw_kpath(g, KpathConfig(k=3, rho=2000, seed=77))
-        b = werw_kpath(shuffled, KpathConfig(k=3, rho=2000, seed=77))
+        cfg = KpathConfig(k=3, walks_per_slot=per_slot_for(2000, g), seed=77)
+        a = werw_kpath(g, cfg)
+        b = werw_kpath(shuffled, cfg)
         assert np.array_equal(b, a[perm])
 
     def test_memory_bounded_on_criterion6_graph(self, criterion6_graph):
@@ -183,12 +189,12 @@ class TestWerwKpath:
             "5a89dfe631c94b7973c9afe2b1589125935b90011f9db8f646fb6bcf93b8d23a"
 
 
-# sha256 of werw_kpath (k = 10, default rho; float64, little-endian bytes)
-# on the largest connected component of each sparse desk-row cell, with the
-# cell's derived k-path seed, as run_cell computes it. Recorded with the
-# kernel that compared every walk's current node with its whole trail and
-# sorted a skip list for every walk at every step; this one must reproduce
-# them.
+# sha256 of werw_kpath (k = 10, four walks per slot; float64, little-endian
+# bytes) on the largest connected component of each sparse desk-row cell,
+# with the cell's derived k-path seed, as run_cell computes it. Recorded with
+# the kernel that compared every walk's current node with its whole trail
+# and sorted a skip list for every walk at every step; this one must
+# reproduce them.
 DESK_DIGESTS = {
     "SF": "2899c4eaf8d37c2510b16c5a3ef7948e3bfc462b4f30f3ea3c7e89b51801c654",
     "SW": "97040bd1bf7ecb16da6da68bf4af5d05c66b2c33b47345958a49ba91caee0384",
@@ -229,18 +235,17 @@ def _reference_graphs():
 REFERENCE_GRAPHS = _reference_graphs()
 
 
-def _rho_cases(m):
-    return {"2m": 2 * m, "8m": 8 * m, "2m+7": 2 * m + 7}
+PER_SLOT_CASES = (1, 3, 4)
 
 
-def assert_matches_reference(g, k, rho, seed):
-    est = werw_kpath(g, KpathConfig(k=k, rho=rho, seed=seed))
-    ref = werw_kpath_reference(g, k, rho, seed)
+def assert_matches_reference(g, k, per_slot, seed):
+    est = werw_kpath(g, KpathConfig(k=k, walks_per_slot=per_slot, seed=seed))
+    ref = werw_kpath_reference(g, k, per_slot, seed)
     if k <= 2:
-        assert np.array_equal(est, ref), (k, rho, est, ref)
+        assert np.array_equal(est, ref), (k, per_slot, est, ref)
     else:
         np.testing.assert_allclose(est, ref, rtol=1e-12, atol=0,
-                                   err_msg=f"k={k} rho={rho}")
+                                   err_msg=f"k={k} walks_per_slot={per_slot}")
 
 
 class TestBatchedMatchesReference:
@@ -249,16 +254,17 @@ class TestBatchedMatchesReference:
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
     def test_small_graphs(self, name):
         g = REFERENCE_GRAPHS[name]
-        for rho in _rho_cases(g.m).values():
+        for per_slot in PER_SLOT_CASES:
             for k in range(1, 11):
-                assert_matches_reference(g, k, rho, seed=31 * k + rho)
+                assert_matches_reference(g, k, per_slot,
+                                         seed=31 * k + 2 * g.m * per_slot)
 
     def test_more_walks_than_one_block(self):
         g = random_connected_graph(64, 0.3, np.random.default_rng(8))
         assert 8 * g.m > centbench.kpath.BLOCK_WALKS
-        for rho in _rho_cases(g.m).values():
+        for per_slot in PER_SLOT_CASES:
             for k in (2, 3, 10):
-                assert_matches_reference(g, k, rho, seed=k)
+                assert_matches_reference(g, k, per_slot, seed=k)
 
     def test_sources_larger_than_a_block(self, monkeypatch):
         # a source with more walks than a block runs in chunks, all held
@@ -266,6 +272,6 @@ class TestBatchedMatchesReference:
         monkeypatch.setattr(centbench.kpath, "BLOCK_WALKS", 5)
         for name in ("star", "tree", "random0"):
             g = REFERENCE_GRAPHS[name]
-            for rho in _rho_cases(g.m).values():
+            for per_slot in PER_SLOT_CASES:
                 for k in (1, 2, 4, 10):
-                    assert_matches_reference(g, k, rho, seed=k)
+                    assert_matches_reference(g, k, per_slot, seed=k)
