@@ -187,12 +187,18 @@ def triangle_counts(g: Graph) -> np.ndarray:
     counts added up. The work is O(m + sum_a d+(a)^2), and under degree
     order every out-degree d+ is at most sqrt(2m); a slot has fewer than
     d+ wedges, so the memory is O(m) plus ``max(_WEDGES, d+)`` wedges.
+    The ranks, keys and wedge slot indices are held in the narrowest type
+    that holds every key, int32 up to n = 46,341 and int64 beyond; the
+    counts are int64.
     """
     n, m = g.n, g.m
     if m == 0:
         return np.zeros(n, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(g.degrees, kind="stable")] = np.arange(n)
+    # the largest key, tail rank n - 2 and head rank n - 1, is n * n - n - 1;
+    # a slot index is below m < n * n / 2
+    idx = np.int32 if n * n - n - 1 <= np.iinfo(np.int32).max else np.int64
+    rank = np.empty(n, dtype=idx)
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(n, dtype=idx)
     ru, rv = rank[g.edge_u], rank[g.edge_v]
     # one key per oriented edge, tail * n + head in rank space; sorting the
     # keys groups the edges by tail with each out-row in ascending head rank
@@ -209,9 +215,9 @@ def triangle_counts(g: Graph) -> np.ndarray:
         limit = upto[lo] - later[lo] + _WEDGES
         hi = max(int(np.searchsorted(upto, limit, side="right")), lo + 1)
         w = later[lo:hi]
-        first = np.repeat(np.arange(lo, hi), w)
-        offsets = np.repeat(np.cumsum(w) - w, w)
-        second = first + 1 + np.arange(first.size) - offsets
+        first = np.repeat(np.arange(lo, hi, dtype=idx), w)
+        offsets = np.repeat((np.cumsum(w) - w).astype(idx), w)
+        second = first + 1 + np.arange(first.size, dtype=idx) - offsets
         closing = head[first] * n + head[second]
         pos = np.minimum(np.searchsorted(keys, closing), m - 1)
         hit = keys[pos] == closing

@@ -35,8 +35,11 @@ a walker's position. A walker appends the edge it takes; a loaded thief
 pops the last one, crossing that edge back, and needs no position until it
 is home again, so no node path is stored. All trails share one flat array
 stored depth-major, thief t's hop i at ``i * nt + t`` for nt thieves, so
-the shallow rows that nearly every hop reads and writes lie together; when
-a walker outgrows the array it doubles, the old rows copied into its front.
+the shallow rows that nearly every hop reads and writes lie together. It
+holds the edge ids in the narrowest unsigned type that fits them all
+(uint16 up to 65,536 edges) and starts one row deep; when a walker
+outgrows the array it doubles, the old rows copied into its front, so its
+size follows the deepest trail.
 
 Score accumulation: with ``mean_convention="per-epoch"`` the sums over
 epochs 0..T (T+1 addends, where epoch 0 is the initial state) are divided
@@ -120,8 +123,10 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     flat ``trail`` array of rows of ``nt`` entries, one row per hop: thief
     t's i-th outbound edge id is at ``i * nt + t``, and ``top[t]`` is the
     flat index of its next free slot, ``depth * nt + t``. A loaded thief's
-    ``pos`` is stale until it deposits and is set to its home. When a
-    walker needs a row past the end, the array doubles and the old rows are
+    ``pos`` is stale until it deposits and is set to its home. The trail's
+    type is ``np.min_scalar_type(m - 1)``, the narrowest unsigned type
+    that holds every edge id, and it starts one row deep. When a walker
+    needs a row past the end, the array doubles and the old rows are
     copied into its front.
     """
     n, m = g.n, g.m
@@ -137,7 +142,8 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     counts = np.full(n, vd, dtype=np.int64)
     carrying = np.zeros(nt, dtype=bool)
     pos = home.copy()
-    trail = np.zeros(16 * nt, dtype=np.int64)
+    # the narrowest type that holds every edge id, one row to start with
+    trail = np.zeros(nt, dtype=np.min_scalar_type(m - 1))
     top = np.arange(nt, dtype=np.int64)  # every trail is empty: depth 0
 
     phi_sum = np.full(n, vd, dtype=np.int64)  # epoch-0 snapshot
@@ -166,7 +172,7 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
         to = adj[slots]
         t = top[walk_ids]
         if t.max(initial=0) >= trail.size:
-            grown = np.zeros(2 * trail.size, dtype=np.int64)
+            grown = np.zeros(2 * trail.size, dtype=trail.dtype)
             grown[:trail.size] = trail
             trail = grown
         trail[t] = adj_eids[slots]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -193,6 +194,9 @@ _VALUE_TYPES = (
     (("n", "seeds_per_cell", "base_seed"), is_int, "an integer"),
     (tuple(row.key for row in FAMILIES.values()), _is_list_of(is_number),
      "a list of numbers"),
+    # JSON's NaN and Infinity load as floats, which no cell can run or report
+    (tuple(row.key for row in FAMILIES.values()), _is_list_of(math.isfinite),
+     "a list of finite numbers"),
     (tuple(row.key for row in FAMILIES.values() if row.kind is int),
      _is_list_of(lambda v: is_int(v) or float(v).is_integer()),
      "a list of integers"),

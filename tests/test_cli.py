@@ -333,6 +333,10 @@ class TestErrors:
         ({"er_p": [0.05, 0.05]},
          "config key er_p must hold distinct values, got [0.05, 0.05]"),
         ({"kpath": {"rho": 20000}}, "unknown config key(s): kpath.rho"),
+        ({"er_p": [float("nan")]},
+         "config key er_p must be a list of finite numbers, got [nan]"),
+        ({"er_p": [0.05, float("inf")]},
+         "config key er_p must be a list of finite numbers, got [0.05, inf]"),
     ])
     def test_bad_shared_setting_exits_two_before_any_cell(
             self, tmp_path, capsys, section, message):

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from centbench import GotConfig, build_graph, default_epochs, run_got
+from centbench import (GotConfig, build_graph, default_epochs, gen_erdos_renyi,
+                       run_got)
 from centbench.got import _resolve_pickups
 from centbench.rng import make_rng
 
@@ -226,8 +227,8 @@ class TestRunGot:
     def test_matches_sequential_reference_through_trail_growth(self):
         # one vdiamond per node is drained within a few epochs, so walkers
         # wander far from home: the reference's trails pass 32 edges, and
-        # run_got's depth-major trail, 16 rows deep at the start, gains rows
-        # twice, copying the old rows into the front of the grown array
+        # run_got's depth-major trail, one row deep at the start, doubles
+        # six times, copying the old rows into the front of the grown array
         for g in (path_graph(40), cycle_graph(40)):
             for tpn in (1, 2):
                 cfg = GotConfig(thieves_per_node=tpn, vdiamonds_per_node=1,
@@ -237,6 +238,17 @@ class TestRunGot:
                 assert longest > 32
                 assert np.array_equal(res.phi, phi_ref)
                 assert np.array_equal(res.psi, psi_ref)
+
+    def test_matches_sequential_reference_past_uint16_edge_ids(self):
+        # 71,909 edges need a uint32 trail: a uint16 one would wrap the edge
+        # ids past 65,535 and credit their crossings to other edges
+        g = gen_erdos_renyi(1200, 0.1, seed=1)
+        cfg = GotConfig(vdiamonds_per_node=1, epochs=40, seed=2)
+        res = run_got(g, cfg)
+        phi_ref, psi_ref, _ = run_via_epoch_steps(g, cfg)
+        assert g.m > 1 << 16 and psi_ref[1 << 16:].any()
+        assert np.array_equal(res.phi, phi_ref)
+        assert np.array_equal(res.psi, psi_ref)
 
     def test_refused_pickups_match_reference(self, np_rng):
         cases = [(star_graph(10), GotConfig(thieves_per_node=2,
@@ -381,12 +393,13 @@ class TestCriterion6Graph:
                         for a in (res.phi, res.psi, trace))
         assert digests == self.DIGESTS[vd]
 
-    # tracemalloc peaks measured 3.5 MB and 9.3 MB; the bounds leave about
+    # tracemalloc peaks measured 1.88 MB and 3.12 MB; the bounds leave about
     # 25% headroom. At one vdiamond per node the trail grows to 64 rows of
-    # one edge id per thief, and the peak is its last growth, when the old
-    # 32 rows are copied into the front of the new array: growing it with a
-    # zero-filled temporary alongside peaked at 12.0 MB
-    @pytest.mark.parametrize("vd, bound", [(None, 4.5e6), (1, 11.5e6)],
+    # one uint16 edge id per thief, and the peak is its last growth, when
+    # the old 32 rows are copied into the front of the new array. An int64
+    # trail peaks at 3.09 and 8.88 MB, above both bounds, and growing one
+    # with a zero-filled temporary alongside at 12.0 MB
+    @pytest.mark.parametrize("vd, bound", [(None, 2.4e6), (1, 3.9e6)],
                              ids=["default", "vd1"])
     def test_memory_bounded(self, criterion6_graph, vd, bound):
         tracemalloc.start()

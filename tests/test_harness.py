@@ -146,6 +146,13 @@ BAD_CONFIGS = [
      r"^config key sf_m must hold distinct values, got \[2, 2\]$"),
     ({"n": 50, "er_p": [1, 1.0]},
      r"^config key er_p must hold distinct values, got \[1\.0, 1\.0\]$"),
+    # JSON's NaN and Infinity, which a cell could neither run nor report
+    ({"n": 60, "er_p": [float("nan")], "sf_m": [2]},
+     r"^config key er_p must be a list of finite numbers, got \[nan\]$"),
+    ({"n": 60, "er_p": [0.1, float("inf")]},
+     r"^config key er_p must be a list of finite numbers, got \[0\.1, inf\]$"),
+    ({"n": 60, "sw_k": [4, float("-inf")]},
+     r"^config key sw_k must be a list of finite numbers, got \[4, -inf\]$"),
 ]
 
 
