@@ -14,15 +14,14 @@ from .generators import (GeneratorSpec, gen_erdos_renyi, gen_holme_kim,
                          gen_nws_small_world)
 from .got import (GotConfig, GotResult, TraceRecord, default_epochs,
                   run_got)
-from .graph import (Graph, GraphError, build_graph, connected_components,
-                    is_connected, largest_connected_component,
-                    parse_edge_list, read_edge_list, write_edge_list)
+from .graph import (Graph, GraphError, build_graph, is_connected,
+                    largest_connected_component, parse_edge_list,
+                    read_edge_list, write_edge_list)
 from .harness import (CellError, ExperimentConfig, ExperimentRecord,
-                      run_cell, run_experiment)
+                      cell_scores, run_cell, run_experiment)
 from .kpath import KpathConfig, werw_kpath
 from .rng import derive_seed, make_rng, splitmix64
-from .stats import (ConstantInputError, CorrelationResult,
-                    concordant_discordant, correlate, kendall, pearson,
-                    rank_with_ties, spearman)
+from .stats import (ConstantInputError, CorrelationResult, correlate,
+                    kendall, pearson, rank_with_ties, spearman)
 
 __version__ = "0.1.0"

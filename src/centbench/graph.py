@@ -175,15 +175,6 @@ def component_labels(g: Graph) -> np.ndarray:
             label = up
 
 
-def connected_components(g: Graph) -> list[np.ndarray]:
-    """All connected components (sorted node ids), by smallest node id."""
-    if g.n == 0:
-        return []
-    labels = component_labels(g)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
 def is_connected(g: Graph) -> bool:
     return not component_labels(g).any()
 

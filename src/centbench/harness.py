@@ -1,11 +1,16 @@
 """Experiment orchestration: generate graphs, score them, correlate, report.
 
-A *cell* is one (family, n, param, seed) combination. Each cell generates
-its graph, reduces to the largest connected component, computes the four
-exact node centralities plus the thief-simulation node score, correlates
-the simulation score against each exact measure with all three
-coefficients (12 records), then correlates the simulation edge score
-against the k-path estimate (3 records): 15 records per cell.
+A *cell* is one (family, n, param, seed) combination. ``cell_scores`` runs
+its stages in order: gen (the graph), lcc (its largest connected component),
+dc, bc, cl and cc (the exact node centralities), got (the thief simulation's
+node and edge scores) and kpath (the k-path edge estimate), each as
+``stage(tag, fn, *args)``, whose return value is the stage's output.
+``run_cell``'s hook times each call; a replay that needs only some stages
+returns None for the others. The stage functions are this module's globals,
+looked up at each call, because the benchmark (``perfbench/run.py``) wraps
+them by name. ``run_cell`` then correlates the simulation node score with
+each exact measure by all three coefficients (12 records) and its edge score
+with the k-path estimate (3 records), timed as stage corr: 15 per cell.
 
 Reproducibility: the cell seed never feeds an algorithm directly. Three
 sub-seeds are derived from it with ``derive_seed(cell_seed, tag)`` for the
@@ -80,7 +85,7 @@ class ExperimentRecord:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment matrix; serializes 1:1 to the JSON config file, except
-    for the got and kpath seeds, which ``run_cell`` derives per cell. From
+    for the got and kpath seeds, which ``cell_scores`` derives per cell. From
     JSON or Python, a bad value raises ValueError naming its key, a number
     is stored as Python's int or float, and a parameter as its family's
     type in ``generators.FAMILIES``: 5.0 runs as 5."""
@@ -187,9 +192,9 @@ def _is_list_of(ok):
     return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
 
 
-# the type of each top-level field, checked in order by __post_init__ (the
-# sections check their own); JSON true/false load as bool, a subclass of
-# int, so the numeric checks exclude it
+# the type of each top-level field, checked in order by __post_init__ (a
+# section checks its own fields); JSON true/false load as bool, a subclass
+# of int, so the numeric checks exclude it
 _VALUE_TYPES = (
     (("n", "seeds_per_cell", "base_seed"), is_int, "an integer"),
     (tuple(row.key for row in FAMILIES.values()), _is_list_of(is_number),
@@ -203,9 +208,37 @@ _VALUE_TYPES = (
     (tuple(_AUX_DEFAULTS), is_number, "a number"),
     (tuple(_AUX_DEFAULTS), lambda p: 0 <= p <= 1, "in [0, 1]"),
     (("all_pairs",), lambda v: isinstance(v, bool), "true or false"),
+    (("got",), lambda v: isinstance(v, GotConfig), "a GotConfig"),
+    (("kpath",), lambda v: isinstance(v, KpathConfig), "a KpathConfig"),
     (("n",), lambda n: n >= 2, "at least 2"),
     (("seeds_per_cell",), lambda v: v >= 1, "at least 1"),
 )
+
+
+def cell_scores(spec: GeneratorSpec, seed: int, got_cfg: GotConfig,
+                kpath_cfg: KpathConfig, *, stage) -> tuple:
+    """Run the stages of the cell with seed ``seed`` and generator call
+    ``spec`` through ``stage`` (see the module docstring); returns the LCC
+    and its six scores by stage tag. ValueError if the LCC has no edge."""
+    g = stage("gen", spec.generate)
+    lcc, _ = stage("lcc", largest_connected_component, g)
+    if lcc.n < 2 or lcc.m == 0:
+        raise ValueError(f"largest connected component is degenerate "
+                         f"(n={lcc.n}, m={lcc.m}); nothing to measure")
+    scores = {tag: stage(tag, fn, lcc) for tag, fn in zip(
+        NODE_MEASURES, (degree_centrality, betweenness_centrality,
+                        closeness_centrality, clustering_coefficient))}
+    scores["got"] = stage("got", run_got, lcc,
+                          replace(got_cfg, seed=derive_seed(seed, "got")))
+    scores["kpath"] = stage("kpath", werw_kpath, lcc,
+                            replace(kpath_cfg, seed=derive_seed(seed, "kpath")))
+    return lcc, scores
+
+
+# (pair, score, score) in report order; pairs of exact measures need all_pairs
+_PAIRS = (*((f"got_node_vs_{name}", "phi", name) for name in NODE_MEASURES),
+          ("got_edge_vs_kpath", "psi", "kpath"),
+          *((f"{a}_vs_{b}", a, b) for a, b in combinations(NODE_MEASURES, 2)))
 
 
 def run_cell(family: str, n: int, param: float, seed: int,
@@ -220,47 +253,28 @@ def run_cell(family: str, n: int, param: float, seed: int,
     Raises CellError (with full cell context) on any stage failure; a failed
     cell produces no partial records.
     """
-    got_cfg = got_cfg or GotConfig()
-    kpath_cfg = kpath_cfg or KpathConfig()
     stage_ms: dict[str, float] = {}
     cell_t0 = time.perf_counter()
 
-    def _timed(tag, fn, *args):
+    def timed(tag, fn, *args):
         t0 = time.perf_counter()
         result = fn(*args)
         stage_ms[tag] = (time.perf_counter() - t0) * 1000.0
         return result
 
     try:
-        spec = GeneratorSpec(family, n, param, aux_prob,
-                             derive_seed(seed, "gen"))
-        g = _timed("gen", spec.generate)
-        lcc, _ = _timed("lcc", largest_connected_component, g)
-        if lcc.n < 2 or lcc.m == 0:
-            raise ValueError(
-                f"largest connected component is degenerate "
-                f"(n={lcc.n}, m={lcc.m}); nothing to measure")
-        node_scores = {name: _timed(name, fn, lcc) for name, fn in zip(
-            NODE_MEASURES, (degree_centrality, betweenness_centrality,
-                            closeness_centrality, clustering_coefficient))}
-        got_res = _timed("got", run_got, lcc,
-                         replace(got_cfg, seed=derive_seed(seed, "got")))
-        kpath_scores = _timed("kpath", werw_kpath, lcc,
-                              replace(kpath_cfg, seed=derive_seed(seed, "kpath")))
+        lcc, scores = cell_scores(
+            GeneratorSpec(family, n, param, aux_prob, derive_seed(seed, "gen")),
+            seed, got_cfg or GotConfig(), kpath_cfg or KpathConfig(),
+            stage=timed)
     except Exception as exc:
         raise CellError(f"family={family} n={n} param={param} seed={seed}: "
                         f"{exc}") from exc
 
-    pairs: list[tuple[str, object, object]] = [
-        (f"got_node_vs_{name}", got_res.phi, node_scores[name])
-        for name in NODE_MEASURES
-    ]
-    pairs.append(("got_edge_vs_kpath", got_res.psi, kpath_scores))
-    if all_pairs:
-        pairs += [(f"{a}_vs_{b}", node_scores[a], node_scores[b])
-                  for a, b in combinations(NODE_MEASURES, 2)]
-
-    results = _timed("corr", lambda: [correlate(a, b) for _, a, b in pairs])
+    scores.update(phi=scores["got"].phi, psi=scores["got"].psi)
+    pairs = _PAIRS if all_pairs else _PAIRS[:len(NODE_MEASURES) + 1]
+    results = timed("corr", lambda: [correlate(scores[a], scores[b])
+                                     for _, a, b in pairs])
     # every record of the cell reports the same whole-cell wall time
     total_ms = (time.perf_counter() - cell_t0) * 1000.0
     return [ExperimentRecord(family=family, n=n, param=param, seed=seed,

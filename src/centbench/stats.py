@@ -155,11 +155,6 @@ def _kendall(ranks_a, ranks_b) -> tuple[float, int, int]:
     return (s_c - s_d) / (s * (s - 1) / 2), s_c, s_d
 
 
-def concordant_discordant(a, b) -> tuple[int, int]:
-    """Exact concordant and discordant pair counts (s_c, s_d), O(s log s)."""
-    return _kendall(*map(_dense_ranks, _check_pair(a, b)))[1:]
-
-
 def kendall(a, b) -> float:
     """Kendall's tau-a: (s_c - s_d) / (s(s-1)/2)."""
     return _kendall(*map(_dense_ranks, _check_pair(a, b)))[0]

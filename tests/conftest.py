@@ -65,6 +65,12 @@ def per_slot_for(walks, g):
     return -(-walks // (2 * g.m))
 
 
+def stages_only(*tags):
+    """A ``cell_scores`` stage hook that runs the stages ``tags`` and gives
+    None for the others."""
+    return lambda tag, fn, *args: fn(*args) if tag in tags else None
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240808)

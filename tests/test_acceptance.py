@@ -26,14 +26,15 @@ import numpy as np
 import pytest
 
 from centbench import (ExperimentConfig, GotConfig, KpathConfig,
-                       betweenness_centrality, clustering_coefficient,
-                       gen_erdos_renyi, gen_holme_kim, gen_nws_small_world,
-                       is_connected, kendall, largest_connected_component,
-                       pearson, run_experiment, run_got, spearman, werw_kpath)
-from centbench.rng import derive_seed
+                       betweenness_centrality, cell_scores,
+                       clustering_coefficient, derive_seed, gen_erdos_renyi,
+                       gen_holme_kim, gen_nws_small_world, is_connected,
+                       kendall, pearson, run_experiment, run_got, spearman,
+                       werw_kpath)
 
 from conftest import (complete_graph, cycle_graph, path_graph, per_slot_for,
-                      random_graph, random_connected_graph, star_graph)
+                      random_graph, random_connected_graph, stages_only,
+                      star_graph)
 from reference import oracle_betweenness, oracle_kpath
 
 
@@ -251,11 +252,12 @@ def test_criterion5_node_score_bands(desk_matrix):
 
 def _psi_self_agreement(family, param, seed):
     """r_psi: Spearman agreement of two independent simulation runs on the
-    cell's own largest connected component, replayed from its "gen" seed
-    under the desk matrix's (default) generator and simulation settings."""
+    cell's own largest connected component, replayed through the cell's
+    stages under the desk matrix's (default) generator and simulation
+    settings."""
     cfg = ExperimentConfig(n=1000)
-    spec = cfg.generator_spec(family, param, seed)
-    lcc, _ = largest_connected_component(spec.generate())
+    lcc, _ = cell_scores(cfg.generator_spec(family, param, seed), seed,
+                         cfg.got, cfg.kpath, stage=stages_only("gen", "lcc"))
     a, b = (run_got(lcc, replace(cfg.got, seed=derive_seed(seed, tag))).psi
             for tag in ("psi-replica-a", "psi-replica-b"))
     return spearman(a, b)
@@ -340,15 +342,13 @@ def test_edge_band_holds_where_functionals_align():
     and on sparse Holme-Kim graphs (m=5) the +0.5 band holds comfortably.
     It is not a claim for every cell: on dense cells psi's own resolution
     caps even the k=1 score (SW k=32: 0.14-0.16 on the desk matrix)."""
-    from centbench import largest_connected_component
-    from centbench.rng import derive_seed
+    cfg = ExperimentConfig(n=1000, kpath=KpathConfig(k=1))
     results = []
     for seed in (1, 2, 3):
-        g = gen_holme_kim(1000, 5, 0.3, seed=derive_seed(seed, "gen"))
-        lcc, _ = largest_connected_component(g)
-        psi = run_got(lcc, GotConfig(seed=derive_seed(seed, "got"))).psi
-        kp1 = werw_kpath(lcc, KpathConfig(k=1, seed=derive_seed(seed, "kpath")))
-        results.append(spearman(psi, kp1))
+        _, scores = cell_scores(cfg.generator_spec("SF", 5, seed), seed,
+                                cfg.got, cfg.kpath,
+                                stage=stages_only("gen", "lcc", "got", "kpath"))
+        results.append(spearman(scores["got"].psi, scores["kpath"]))
     report("5b", "edge band at k=1 (diagnostic)", all(r >= 0.5 for r in results),
            f"spearman values {[round(r, 3) for r in results]}")
     assert all(r >= 0.5 for r in results), results

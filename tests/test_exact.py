@@ -6,13 +6,13 @@ import pytest
 
 import centbench.exact
 from centbench import (DisconnectedGraphError, ExperimentConfig, GeneratorSpec,
-                       betweenness_centrality, build_graph,
+                       betweenness_centrality, build_graph, cell_scores,
                        closeness_centrality, clustering_coefficient,
                        degree_centrality, gen_holme_kim, is_connected,
                        largest_connected_component, triangle_counts)
 
 from conftest import (complete_graph, cycle_graph, layered_graph, path_graph,
-                      random_graph, star_graph)
+                      random_graph, stages_only, star_graph)
 from reference import (level_mask_brandes, oracle_betweenness,
                        oracle_closeness)
 
@@ -254,8 +254,8 @@ class TestClustering:
     def test_memory_bounded_on_a_dense_desk_cell(self):
         cfg = ExperimentConfig(n=1000, sf_m=[25], base_seed=20240807)
         family, param, seed = cfg.cells()[0]
-        g, _ = largest_connected_component(
-            cfg.generator_spec(family, param, seed).generate())
+        g, _ = cell_scores(cfg.generator_spec(family, param, seed), seed,
+                           cfg.got, cfg.kpath, stage=stages_only("gen", "lcc"))
         assert (family, param, g.m) == ("SF", 25, 24375)
         tracemalloc.start()
         try:

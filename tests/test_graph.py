@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centbench import (DisconnectedGraphError, Graph, GraphError, build_graph,
-                       closeness_centrality, connected_components,
-                       gen_erdos_renyi, gen_holme_kim, is_connected,
-                       largest_connected_component, parse_edge_list,
-                       read_edge_list, write_edge_list)
+                       closeness_centrality, gen_erdos_renyi, gen_holme_kim,
+                       is_connected, largest_connected_component,
+                       parse_edge_list, read_edge_list, write_edge_list)
+from centbench.graph import component_labels
 
 from conftest import cycle_graph, path_graph
 from reference import lexsort_csr, oracle_components
@@ -78,8 +78,9 @@ def test_empty_graph():
     g = build_graph([], 4)
     assert g.n == 4 and g.m == 0
     assert g.degrees.tolist() == [0, 0, 0, 0]
-    assert [c.tolist() for c in connected_components(g)] == [[0], [1], [2], [3]]
-    assert connected_components(build_graph([], 0)) == []
+    # every node is its own component, labelled by its own id
+    assert component_labels(g).tolist() == [0, 1, 2, 3]
+    assert component_labels(build_graph([], 0)).tolist() == []
 
 
 def test_has_edge_and_missing_edge_id():
@@ -251,12 +252,14 @@ def test_csr_matches_lexsort_reference(seed):
 
 
 def check_components(g):
-    """Components, connectivity, the LCC and the closeness check against
-    ``oracle_components``."""
+    """Component labels, connectivity, the LCC and the closeness check
+    against ``oracle_components``: each node's label is the smallest id in
+    its component."""
     expected = oracle_components(g)
-    comps = connected_components(g)
-    assert [c.tolist() for c in comps] == expected
-    assert all(c.dtype == np.int64 for c in comps)
+    labels = component_labels(g)
+    smallest = {v: comp[0] for comp in expected for v in comp}
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [smallest[v] for v in range(g.n)]
     assert is_connected(g) == (len(expected) <= 1)
     best = max(expected, key=len)  # the first of equal sizes
     sub, mapping = largest_connected_component(g)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from dataclasses import fields, replace
@@ -7,14 +8,31 @@ import numpy as np
 import pytest
 
 from centbench import (CellError, ExperimentConfig, GotConfig, KpathConfig,
-                       run_cell, run_experiment)
-from centbench.harness import CSV_COLUMNS, SCHEMA_VERSION
+                       cell_scores, run_cell, run_experiment)
+from centbench.harness import COEFFICIENTS, CSV_COLUMNS, SCHEMA_VERSION
 from centbench.rng import derive_seed
 
 
 FAST_GOT = GotConfig(epochs=40)
 FAST_KPATH = KpathConfig(k=5)
-STAGES = {"gen", "lcc", "dc", "bc", "cl", "cc", "got", "kpath", "corr"}
+# run_cell's stage timings, in the order the stages run
+STAGES = ["gen", "lcc", "dc", "bc", "cl", "cc", "got", "kpath", "corr"]
+SMALL_SW = ExperimentConfig(n=80, sw_k=[4])
+
+
+def recorded_cell(cell_seed):
+    """``cell_scores`` on a small SW cell through a hook that records each
+    stage's tag, function, arguments and output; returns them by tag, in
+    call order, with the LCC and scores that ``cell_scores`` returned."""
+    calls = {}
+
+    def record(tag, fn, *args):
+        calls[tag] = (fn, args, fn(*args))
+        return calls[tag][2]
+
+    lcc, scores = cell_scores(SMALL_SW.generator_spec("SW", 4, cell_seed),
+                              cell_seed, FAST_GOT, FAST_KPATH, stage=record)
+    return calls, lcc, scores
 
 
 class TestRunCell:
@@ -22,7 +40,7 @@ class TestRunCell:
         records, stage_ms = run_cell("SF", 200, 5, seed=1, got_cfg=FAST_GOT,
                                      kpath_cfg=FAST_KPATH)
         assert len(records) == 15
-        assert set(stage_ms) == STAGES
+        assert list(stage_ms) == STAGES
         assert all(ms >= 0.0 for ms in stage_ms.values())
         pairs = {r.pair for r in records}
         assert pairs == {"got_node_vs_dc", "got_node_vs_bc", "got_node_vs_cl",
@@ -57,6 +75,41 @@ class TestRunCell:
         assert derive_seed(7, "got") != derive_seed(7, "kpath")
         assert derive_seed(7, "gen") == derive_seed(7, "gen")
         assert derive_seed(8, "gen") != derive_seed(7, "gen")
+        # the simulation and the k-path walks run on their own sub-seeds
+        calls, _, _ = recorded_cell(7)
+        assert calls["got"][1][1] == replace(FAST_GOT,
+                                             seed=derive_seed(7, "got"))
+        assert calls["kpath"][1][1] == replace(FAST_KPATH,
+                                               seed=derive_seed(7, "kpath"))
+
+
+class TestCellScores:
+    def test_a_recording_hook_sees_every_stage_in_order(self):
+        calls, lcc, scores = recorded_cell(7)
+        assert list(calls) == STAGES[:-1]
+        _, (g,), (lcc_out, _) = calls["lcc"]
+        assert g is calls["gen"][2] and lcc_out is lcc
+        # each score is its stage's output, computed on the LCC
+        assert list(scores) == STAGES[2:-1]
+        for tag, score in scores.items():
+            _, args, out = calls[tag]
+            assert args[0] is lcc and out is score
+        assert [calls[tag][0].__name__ for tag in scores] == [
+            "degree_centrality", "betweenness_centrality",
+            "closeness_centrality", "clustering_coefficient", "run_got",
+            "werw_kpath"]
+
+    def test_a_hook_can_skip_stages(self):
+        ran = []
+
+        def gen_and_lcc(tag, fn, *args):
+            ran.append(tag)
+            return fn(*args) if tag in ("gen", "lcc") else None
+
+        lcc, scores = cell_scores(SMALL_SW.generator_spec("SW", 4, 7), 7,
+                                  FAST_GOT, FAST_KPATH, stage=gen_and_lcc)
+        assert ran == STAGES[:-1]
+        assert lcc.n == 80 and set(scores.values()) == {None}
 
 
 # bad JSON configs and the message each raises; every case led by
@@ -196,7 +249,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("cls, name", [
         (cls, f.name) for cls in (ExperimentConfig, GotConfig, KpathConfig)
-        for f in fields(cls) if f.name not in ("got", "kpath")])
+        for f in fields(cls)])
     @pytest.mark.parametrize("bad", ["1", object()], ids=["str", "object"])
     def test_every_field_rejects_a_value_of_the_wrong_type(self, cls, name,
                                                            bad):
@@ -279,6 +332,13 @@ class TestExperimentConfig:
                                   f"least 1, got {count}")
 
 
+PLOT_DIGESTS = {
+    "pearson": "e10cb2b43de814f55670fd277760debdd58fc8427e5fbd4efd5ad57ed8977d52",
+    "spearman": "edad8d7b4be465eff3c5ae4e8dd5c302d417daef260d9dfbbacff048dde5c213",
+    "kendall": "ec887b4136d6fae6b90e983d603f027c420b8209ec431e383bd84bc46d27cbb0",
+}
+
+
 class TestRunExperiment:
     def test_empty_config_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to run"):
@@ -308,7 +368,7 @@ class TestRunExperiment:
         assert all(list(r) == CSV_COLUMNS[1:] for r in doc["records"])
         assert [c for c in doc["cells"] if "error" in c] == errors
         assert doc["config"]["n"] == 80
-        assert set(doc["cells"][0]["stage_wall_ms"]) == STAGES
+        assert list(doc["cells"][0]["stage_wall_ms"]) == STAGES
 
         for coeff in ("pearson", "spearman", "kendall"):
             with open(tmp_path / f"plot_{coeff}.csv", newline="") as fh:
@@ -354,9 +414,22 @@ class TestRunExperiment:
         assert errors == [failed]
         assert set(finished) == {"family", "n", "param", "seed",
                                  "stage_wall_ms"}
-        assert set(finished["stage_wall_ms"]) == STAGES
+        assert list(finished["stage_wall_ms"]) == STAGES
         assert len(records) == 15
         assert all(r.param == 0.1 for r in records)
+
+    def test_plot_files_match_recorded_digests(self, tmp_path):
+        # sha256 of each plot_*.csv, recorded when run_cell still ran its
+        # stages and pairs inline: the same records, byte for byte
+        cfg = ExperimentConfig(n=200, sf_m=[3], er_p=[0.04], seeds_per_cell=2,
+                               base_seed=33, got=GotConfig(epochs=30),
+                               kpath=KpathConfig(k=4, walks_per_slot=2),
+                               all_pairs=True)
+        records, _ = run_experiment(cfg, tmp_path)
+        assert len(records) == 4 * 33
+        assert {coeff: hashlib.sha256(
+            (tmp_path / f"plot_{coeff}.csv").read_bytes()).hexdigest()
+            for coeff in COEFFICIENTS} == PLOT_DIGESTS
 
     def test_csv_values_parse_back_exactly(self, tmp_path):
         cfg = ExperimentConfig(n=60, er_p=[0.1], base_seed=1,

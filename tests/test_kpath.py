@@ -6,11 +6,10 @@ import pytest
 
 import centbench.kpath
 from centbench import (ExperimentConfig, KpathConfig, build_graph,
-                       derive_seed, largest_connected_component, spearman,
-                       werw_kpath)
+                       cell_scores, spearman, werw_kpath)
 
 from conftest import (complete_graph, path_graph, per_slot_for,
-                      random_connected_graph, star_graph)
+                      random_connected_graph, stages_only, star_graph)
 from reference import oracle_kpath, werw_kpath_reference
 
 
@@ -191,9 +190,9 @@ class TestWerwKpath:
 
 # sha256 of werw_kpath (k = 10, four walks per slot; float64, little-endian
 # bytes) on the largest connected component of each sparse desk-row cell,
-# with the cell's derived k-path seed, as run_cell computes it. Recorded with
-# the kernel that compared every walk's current node with its whole trail
-# and sorted a skip list for every walk at every step; this one must
+# with the cell's derived k-path seed, as cell_scores computes it. Recorded
+# with the kernel that compared every walk's current node with its whole
+# trail and sorted a skip list for every walk at every step; this one must
 # reproduce them.
 DESK_DIGESTS = {
     "SF": "2899c4eaf8d37c2510b16c5a3ef7948e3bfc462b4f30f3ea3c7e89b51801c654",
@@ -207,10 +206,10 @@ def test_desk_scale_outputs_match_recorded_digests():
                            base_seed=20240807)
     digests = {}
     for family, param, seed in cfg.cells():
-        spec = cfg.generator_spec(family, param, seed)
-        lcc, _ = largest_connected_component(spec.generate())
-        scores = werw_kpath(lcc, KpathConfig(seed=derive_seed(seed, "kpath")))
-        digests[family] = hashlib.sha256(scores.tobytes()).hexdigest()
+        _, scores = cell_scores(cfg.generator_spec(family, param, seed), seed,
+                                cfg.got, cfg.kpath,
+                                stage=stages_only("gen", "lcc", "kpath"))
+        digests[family] = hashlib.sha256(scores["kpath"].tobytes()).hexdigest()
     assert digests == DESK_DIGESTS
 
 

@@ -2,9 +2,10 @@
 
 ``perfbench/run.py`` exits 1 when one of its output checks fails, and also
 when an interface of the program it calls breaks: the stage functions it
-looks up in ``centbench.harness`` by name, ``KpathConfig.resolve``,
-``ExperimentRecord``'s positional fields and ``run_experiment``'s return
-value. ``desk-sparse`` builds its configs as ``ExperimentConfig`` and
+looks up in ``centbench.harness`` by name, which ``cell_scores`` (the stage
+seam ``run_cell`` runs each cell through) must call as module globals, once
+per cell and in stage order, ``KpathConfig.resolve``, ``ExperimentRecord``'s
+positional fields and ``run_experiment``'s return value. ``desk-sparse`` builds its configs as ``ExperimentConfig`` and
 ``replace(cfg.got, seed=...)``; ``thieves-scarce`` builds
 ``GotConfig(vdiamonds_per_node=1, seed=...)`` itself and runs ``run_got``
 on a Holme-Kim graph at n = 10^4 with one vdiamond per node. The checks
