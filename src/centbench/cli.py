@@ -30,7 +30,8 @@ from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
 from .generators import FAMILIES, GeneratorSpec
 from .got import MEAN_CONVENTIONS, GotConfig, run_got
-from .graph import format_edge_list, largest_connected_component, read_edge_list
+from .graph import (format_edge_list, is_number, largest_connected_component,
+                    read_edge_list)
 from .harness import ExperimentConfig, run_experiment
 from .kpath import KpathConfig, werw_kpath
 from .stats import correlate
@@ -69,6 +70,10 @@ def read_scores(path) -> np.ndarray:
         scores = json.loads(text).get("scores")
         if not isinstance(scores, list):
             raise ValueError(f'{path}: JSON score file has no "scores" list')
+        for i, value in enumerate(scores):
+            if not is_number(value):  # true, "1.5" or null would convert
+                raise ValueError(f"{path}: scores[{i}] must be a number, "
+                                 f"got {json.dumps(value)}")
         return np.asarray(scores, dtype=np.float64)
     lines = (line.strip() for line in text.splitlines())
     return np.asarray([float(line) for line in lines

@@ -12,10 +12,10 @@ them by name. ``run_cell`` then correlates the simulation node score with
 each exact measure by all three coefficients (12 records) and its edge score
 with the k-path estimate (3 records), timed as stage corr: 15 per cell.
 
-Reproducibility: the cell seed never feeds an algorithm directly. Three
-sub-seeds are derived from it with ``derive_seed(cell_seed, tag)`` for the
-tags "gen", "got" and "kpath", so the stages have independent streams and
-any stage can be replayed in isolation.
+Reproducibility: the cell seed never feeds an algorithm directly. Only
+``cell_scores`` derives sub-seeds from it, ``derive_seed(cell_seed, tag)``
+for the tags "gen" (its generator call), "got" and "kpath", so the stages
+have independent streams and a cell's arguments replay its outputs.
 
 Reports: a CSV with one row per record (fixed, versioned schema), a JSON
 document carrying the same records plus one entry per cell (its key with
@@ -122,15 +122,6 @@ class ExperimentConfig:
                 for param in getattr(self, row.key)
                 for i in range(self.seeds_per_cell)]
 
-    def generator_spec(self, family: str, param: float,
-                       cell_seed: int) -> GeneratorSpec:
-        """The generator call of one cell: this config's auxiliary
-        probability for the family, and the cell's "gen" sub-seed."""
-        row = FAMILIES[family]
-        aux = getattr(self, row.aux_key) if row.aux_key else row.aux_default
-        return GeneratorSpec(family, self.n, param, aux,
-                             derive_seed(cell_seed, "gen"))
-
     def to_dict(self) -> dict:
         d = asdict(self)
         for section in _SEEDED:
@@ -183,8 +174,8 @@ def _checked(cls, d: dict, section: str) -> dict:
     return dict(d)
 
 
-# sections whose seed field has no config key: run_cell replaces it with one
-# derived from the cell seed
+# sections whose seed field has no config key: cell_scores replaces it with
+# one derived from the cell seed
 _SEEDED = ("got", "kpath")
 
 
@@ -215,11 +206,15 @@ _VALUE_TYPES = (
 )
 
 
-def cell_scores(spec: GeneratorSpec, seed: int, got_cfg: GotConfig,
-                kpath_cfg: KpathConfig, *, stage) -> tuple:
-    """Run the stages of the cell with seed ``seed`` and generator call
-    ``spec`` through ``stage`` (see the module docstring); returns the LCC
-    and its six scores by stage tag. ValueError if the LCC has no edge."""
+def cell_scores(family: str, n: int, param: float, seed: int,
+                got_cfg: GotConfig = GotConfig(),
+                kpath_cfg: KpathConfig = KpathConfig(),
+                aux_prob: float | None = None, *, stage) -> tuple:
+    """Run one cell's stages through ``stage`` (see the module docstring);
+    returns the LCC and its six scores by stage tag. ``aux_prob`` is the
+    family's auxiliary probability, ``None`` for its default. ValueError if
+    the LCC has no edge."""
+    spec = GeneratorSpec(family, n, param, aux_prob, derive_seed(seed, "gen"))
     g = stage("gen", spec.generate)
     lcc, _ = stage("lcc", largest_connected_component, g)
     if lcc.n < 2 or lcc.m == 0:
@@ -242,13 +237,13 @@ _PAIRS = (*((f"got_node_vs_{name}", "phi", name) for name in NODE_MEASURES),
 
 
 def run_cell(family: str, n: int, param: float, seed: int,
-             got_cfg: GotConfig | None = None,
-             kpath_cfg: KpathConfig | None = None,
+             got_cfg: GotConfig = GotConfig(),
+             kpath_cfg: KpathConfig = KpathConfig(),
              aux_prob: float | None = None,
              all_pairs: bool = False) -> tuple[list[ExperimentRecord], dict]:
     """Run one experiment cell; returns its 15 records (more with all_pairs)
-    and the wall time of each stage in ms. ``aux_prob`` is the family's
-    auxiliary probability, ``None`` for its default.
+    and the wall time of each stage in ms. The arguments before
+    ``all_pairs`` are ``cell_scores``'s, which it runs with a timing hook.
 
     Raises CellError (with full cell context) on any stage failure; a failed
     cell produces no partial records.
@@ -263,10 +258,8 @@ def run_cell(family: str, n: int, param: float, seed: int,
         return result
 
     try:
-        lcc, scores = cell_scores(
-            GeneratorSpec(family, n, param, aux_prob, derive_seed(seed, "gen")),
-            seed, got_cfg or GotConfig(), kpath_cfg or KpathConfig(),
-            stage=timed)
+        lcc, scores = cell_scores(family, n, param, seed, got_cfg, kpath_cfg,
+                                  aux_prob, stage=timed)
     except Exception as exc:
         raise CellError(f"family={family} n={n} param={param} seed={seed}: "
                         f"{exc}") from exc
@@ -307,9 +300,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     cells = cfg.cells()
     if not cells:
         raise ValueError("nothing to run: all family parameter lists are empty")
-    tasks = [(family, cfg.n, param, seed, cfg.got, cfg.kpath,
-              cfg.generator_spec(family, param, seed).aux_prob, cfg.all_pairs)
-             for family, param, seed in cells]
+    out = Path(out_dir)  # made first: an unusable directory loses no cell
+    out.mkdir(parents=True, exist_ok=True)
+    aux = {family: getattr(cfg, row.aux_key) if row.aux_key else None
+           for family, row in FAMILIES.items()}
+    tasks = [(family, cfg.n, param, seed, cfg.got, cfg.kpath, aux[family],
+              cfg.all_pairs) for family, param, seed in cells]
     if workers > 1:  # a serial run does not pay the pool's import
         from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
@@ -319,8 +315,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     entries = [entry for _, entry in done]
     errors = [entry for entry in entries if "error" in entry]
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv_report(records, out / "report.csv")
     write_json_report(cfg, records, entries, out / "report.json")
     for coeff in COEFFICIENTS:
@@ -328,6 +322,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     if errors:
         _write_csv(out / "errors.csv", ERROR_COLUMNS,
                    ([err[c] for c in ERROR_COLUMNS] for err in errors))
+    else:  # a clean run leaves no errors.csv of an earlier one
+        (out / "errors.csv").unlink(missing_ok=True)
     return records, errors
 
 

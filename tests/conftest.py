@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,17 @@ def stages_only(*tags):
     """A ``cell_scores`` stage hook that runs the stages ``tags`` and gives
     None for the others."""
     return lambda tag, fn, *args: fn(*args) if tag in tags else None
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

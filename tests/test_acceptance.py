@@ -256,8 +256,8 @@ def _psi_self_agreement(family, param, seed):
     stages under the desk matrix's (default) generator and simulation
     settings."""
     cfg = ExperimentConfig(n=1000)
-    lcc, _ = cell_scores(cfg.generator_spec(family, param, seed), seed,
-                         cfg.got, cfg.kpath, stage=stages_only("gen", "lcc"))
+    lcc, _ = cell_scores(family, cfg.n, param, seed, cfg.got, cfg.kpath,
+                         stage=stages_only("gen", "lcc"))
     a, b = (run_got(lcc, replace(cfg.got, seed=derive_seed(seed, tag))).psi
             for tag in ("psi-replica-a", "psi-replica-b"))
     return spearman(a, b)
@@ -345,8 +345,7 @@ def test_edge_band_holds_where_functionals_align():
     cfg = ExperimentConfig(n=1000, kpath=KpathConfig(k=1))
     results = []
     for seed in (1, 2, 3):
-        _, scores = cell_scores(cfg.generator_spec("SF", 5, seed), seed,
-                                cfg.got, cfg.kpath,
+        _, scores = cell_scores("SF", cfg.n, 5, seed, cfg.got, cfg.kpath,
                                 stage=stages_only("gen", "lcc", "got", "kpath"))
         results.append(spearman(scores["got"].psi, scores["kpath"]))
     report("5b", "edge band at k=1 (diagnostic)", all(r >= 0.5 for r in results),

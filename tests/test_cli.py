@@ -6,7 +6,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from centbench import ExperimentConfig, GotConfig, KpathConfig, read_edge_list
+from centbench import (ExperimentConfig, GotConfig, KpathConfig, cell_scores,
+                       read_edge_list)
 from centbench.cli import build_parser, main, read_scores
 from centbench.generators import FAMILIES
 from centbench.graph import format_edge_list
@@ -62,11 +63,18 @@ class TestGen:
         param = 4 if row.kind is int else 0.1
         cfg = ExperimentConfig(n=60, **{row.key: [param]})
         (cell_family, cell_param, seed), = cfg.cells()
-        spec = cfg.generator_spec(cell_family, cell_param, seed)
+        seen = {}
+
+        def graph_only(tag, fn, *args):
+            seen[tag] = fn
+            return fn(*args) if tag in ("gen", "lcc") else None
+
+        cell_scores(cell_family, cfg.n, cell_param, seed, stage=graph_only)
+        spec = seen["gen"].__self__  # the cell's GeneratorSpec
         edges = format_edge_list(spec.generate())
         assert edges.count("\n") > 60
         out = tmp_path / "g.edges"
-        for aux_p in (("--aux-p", str(spec.aux_prob)), ()):
+        for aux_p in (("--aux-p", str(row.aux_default)), ()):
             assert run_cli("gen", "--family", family.lower(), "--n", "60",
                            "--param", str(param), *aux_p,
                            "--seed", str(spec.seed), "--out", str(out)) == 0
@@ -271,6 +279,17 @@ class TestErrors:
         assert run_cli("correlate", str(bad), str(good)) == 2
         assert capsys.readouterr().err == \
             f'centbench: error: {bad}: JSON score file has no "scores" list\n'
+
+    @pytest.mark.parametrize("entry", ['{"a": 1}', "true", '"1.5"', "null",
+                                       "[2]"])
+    def test_json_score_that_is_not_a_number(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"scores": [1, {entry}, 3]}}')
+        good = tmp_path / "good.txt"
+        good.write_text("1\n2\n3\n")
+        assert run_cli("correlate", str(bad), str(good)) == 2
+        assert capsys.readouterr().err == \
+            f"centbench: error: {bad}: scores[1] must be a number, got {entry}\n"
 
     def test_config_without_node_count(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,4 +1,3 @@
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +11,7 @@ from centbench import (DisconnectedGraphError, ExperimentConfig, GeneratorSpec,
                        largest_connected_component, triangle_counts)
 
 from conftest import (complete_graph, cycle_graph, layered_graph, path_graph,
-                      random_graph, stages_only, star_graph)
+                      random_graph, stages_only, star_graph, traced_peak)
 from reference import (level_mask_brandes, oracle_betweenness,
                        oracle_closeness)
 
@@ -99,12 +98,7 @@ class TestBetweenness:
         # 5.9 MB, while the int16 distances of all 3000 sources at once
         # would take 18 MB and a 1024-source block exceeds the bound
         g = gen_holme_kim(3000, 5, 0.3, seed=606)
-        tracemalloc.start()
-        try:
-            betweenness_centrality(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(betweenness_centrality, g)
         assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -172,12 +166,7 @@ class TestCloseness:
     def test_memory_bounded_on_criterion6_graph(self, criterion6_graph):
         # the bitsets of one 256-source block: the peak measured 7.2 MB,
         # and a 1024-source block exceeds the bound
-        tracemalloc.start()
-        try:
-            closeness_centrality(criterion6_graph)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(closeness_centrality, criterion6_graph)
         assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -243,26 +232,16 @@ class TestClustering:
     # ranks peak at 4.29 and 3.12 MB, above both bounds, and listing every
     # wedge at once at 7.2 and 14.3 MB
     def test_memory_bounded_on_criterion6_graph(self, criterion6_graph):
-        tracemalloc.start()
-        try:
-            triangle_counts(criterion6_graph)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(triangle_counts, criterion6_graph)
         assert peak < 3.6e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_memory_bounded_on_a_dense_desk_cell(self):
         cfg = ExperimentConfig(n=1000, sf_m=[25], base_seed=20240807)
         family, param, seed = cfg.cells()[0]
-        g, _ = cell_scores(cfg.generator_spec(family, param, seed), seed,
-                           cfg.got, cfg.kpath, stage=stages_only("gen", "lcc"))
+        g, _ = cell_scores(family, cfg.n, param, seed, cfg.got, cfg.kpath,
+                           stage=stages_only("gen", "lcc"))
         assert (family, param, g.m) == ("SF", 25, 24375)
-        tracemalloc.start()
-        try:
-            triangle_counts(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(triangle_counts, g)
         assert peak < 2.6e6, f"peak {peak / 1e6:.1f} MB"
 
 

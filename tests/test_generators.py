@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,8 @@ import pytest
 from centbench import (GeneratorSpec, clustering_coefficient, gen_erdos_renyi,
                        gen_holme_kim, gen_nws_small_world, is_connected)
 from centbench.rng import _Draws, make_rng
+
+from conftest import traced_peak
 
 BOUNDS = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32]
 
@@ -177,12 +178,7 @@ class TestHolmeKim:
         # the growth loop's sets and lists are freed before the CSR build:
         # the tracemalloc peak measured 7.3 MB, and the bound leaves about
         # 25% headroom. Keeping them alive through the build peaks at 12.5 MB
-        tracemalloc.start()
-        try:
-            gen_holme_kim(10000, 5, 0.3, seed=606)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(gen_holme_kim, 10000, 5, 0.3, 606)
         assert peak < 9.2e6, f"peak {peak / 1e6:.1f} MB"
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from centbench.got import _resolve_pickups
 from centbench.rng import make_rng
 
 from conftest import (cycle_graph, path_graph, random_connected_graph,
-                      random_graph, star_graph)
+                      random_graph, star_graph, traced_peak)
 from reference import epoch_step, initial_state
 
 
@@ -402,12 +401,8 @@ class TestCriterion6Graph:
     @pytest.mark.parametrize("vd, bound", [(None, 2.4e6), (1, 3.9e6)],
                              ids=["default", "vd1"])
     def test_memory_bounded(self, criterion6_graph, vd, bound):
-        tracemalloc.start()
-        try:
-            run_got(criterion6_graph, GotConfig(vdiamonds_per_node=vd, seed=607))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(run_got, criterion6_graph,
+                              GotConfig(vdiamonds_per_node=vd, seed=607))
         assert peak < bound, f"peak {peak / 1e6:.1f} MB"
 
 

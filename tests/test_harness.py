@@ -7,8 +7,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from centbench import (CellError, ExperimentConfig, GotConfig, KpathConfig,
-                       cell_scores, run_cell, run_experiment)
+from centbench import (CellError, ExperimentConfig, GeneratorSpec, GotConfig,
+                       KpathConfig, cell_scores, harness, run_cell,
+                       run_experiment)
 from centbench.harness import COEFFICIENTS, CSV_COLUMNS, SCHEMA_VERSION
 from centbench.rng import derive_seed
 
@@ -17,7 +18,8 @@ FAST_GOT = GotConfig(epochs=40)
 FAST_KPATH = KpathConfig(k=5)
 # run_cell's stage timings, in the order the stages run
 STAGES = ["gen", "lcc", "dc", "bc", "cl", "cc", "got", "kpath", "corr"]
-SMALL_SW = ExperimentConfig(n=80, sw_k=[4])
+# the leading cell_scores arguments of a small SW cell, less its seed
+SMALL_SW = ("SW", 80, 4)
 
 
 def recorded_cell(cell_seed):
@@ -30,8 +32,8 @@ def recorded_cell(cell_seed):
         calls[tag] = (fn, args, fn(*args))
         return calls[tag][2]
 
-    lcc, scores = cell_scores(SMALL_SW.generator_spec("SW", 4, cell_seed),
-                              cell_seed, FAST_GOT, FAST_KPATH, stage=record)
+    lcc, scores = cell_scores(*SMALL_SW, cell_seed, FAST_GOT, FAST_KPATH,
+                              stage=record)
     return calls, lcc, scores
 
 
@@ -75,8 +77,11 @@ class TestRunCell:
         assert derive_seed(7, "got") != derive_seed(7, "kpath")
         assert derive_seed(7, "gen") == derive_seed(7, "gen")
         assert derive_seed(8, "gen") != derive_seed(7, "gen")
-        # the simulation and the k-path walks run on their own sub-seeds
+        # the graph, the simulation and the k-path walks run on their own
+        # sub-seeds
         calls, _, _ = recorded_cell(7)
+        assert calls["gen"][0].__self__ == GeneratorSpec(
+            *SMALL_SW, seed=derive_seed(7, "gen"))
         assert calls["got"][1][1] == replace(FAST_GOT,
                                              seed=derive_seed(7, "got"))
         assert calls["kpath"][1][1] == replace(FAST_KPATH,
@@ -106,8 +111,8 @@ class TestCellScores:
             ran.append(tag)
             return fn(*args) if tag in ("gen", "lcc") else None
 
-        lcc, scores = cell_scores(SMALL_SW.generator_spec("SW", 4, 7), 7,
-                                  FAST_GOT, FAST_KPATH, stage=gen_and_lcc)
+        lcc, scores = cell_scores(*SMALL_SW, 7, FAST_GOT, FAST_KPATH,
+                                  stage=gen_and_lcc)
         assert ran == STAGES[:-1]
         assert lcc.n == 80 and set(scores.values()) == {None}
 
@@ -343,6 +348,27 @@ class TestRunExperiment:
     def test_empty_config_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to run"):
             run_experiment(ExperimentConfig(n=50), tmp_path)
+
+    def test_an_unusable_out_dir_fails_before_any_cell(self, tmp_path,
+                                                       monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run_cell",
+                            lambda *args: ran.append(args) or ([], {}))
+        taken = tmp_path / "a_file"
+        taken.write_text("")
+        with pytest.raises(OSError):
+            run_experiment(ExperimentConfig(n=50, sf_m=[2]), taken)
+        assert ran == []
+
+    def test_a_clean_rerun_removes_an_old_errors_csv(self, tmp_path):
+        settings = dict(n=60, base_seed=4, got=GotConfig(epochs=10),
+                        kpath=KpathConfig(k=3))
+        _, errors = run_experiment(ExperimentConfig(er_p=[0.0], **settings),
+                                   tmp_path)
+        assert len(errors) == 1 and (tmp_path / "errors.csv").exists()
+        _, errors = run_experiment(ExperimentConfig(er_p=[0.1], **settings),
+                                   tmp_path)
+        assert errors == [] and not (tmp_path / "errors.csv").exists()
 
     def test_reports_and_partial_failure(self, tmp_path):
         cfg = ExperimentConfig(n=80, sf_m=[2], er_p=[0.08, 0.0],

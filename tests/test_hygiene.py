@@ -8,7 +8,8 @@ outside its own definition (a use from the tests alone does not count).
 The generators draw through ``rng._Draws`` and never call numpy's
 ``Generator`` once per draw. An experiment record holds the report CSV's
 columns and nothing else. Only ``generators.py``, which holds the family
-table, names a graph family in a string constant.
+table, names a graph family in a string constant. Only
+``harness.cell_scores`` derives a cell's "gen", "got" and "kpath" sub-seeds.
 """
 import ast
 from dataclasses import fields
@@ -120,3 +121,27 @@ def test_only_the_family_table_names_a_family(path):
                  for node in ast.walk(tree) if isinstance(node, ast.Constant)
                  and isinstance(node.value, str) and node.value in names)
     assert not bad, f"{path.name} names a family outside generators.FAMILIES: {bad}"
+
+
+def test_only_cell_scores_derives_the_stage_sub_seeds():
+    tags = {"gen", "got", "kpath"}
+
+    def sub_seed_calls(node):
+        """(line, tag) of each derive_seed(..., "<stage tag>") call in node."""
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and len(call.args) == 2
+                    and getattr(call.func, "id",
+                                getattr(call.func, "attr", None)) == "derive_seed"
+                    and isinstance(call.args[1], ast.Constant)
+                    and call.args[1].value in tags):
+                yield call.lineno, call.args[1].value
+
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    seam, = (node for node in trees["harness.py"].body
+             if isinstance(node, ast.FunctionDef) and node.name == "cell_scores")
+    inside = set(sub_seed_calls(seam))
+    bad = sorted(f"{name} line {line}: {tag!r}" for name, tree in trees.items()
+                 for line, tag in sub_seed_calls(tree)
+                 if not (name == "harness.py" and (line, tag) in inside))
+    assert not bad, f"a stage sub-seed derived outside cell_scores: {bad}"
+    assert {tag for _, tag in inside} == tags

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ from centbench import (ExperimentConfig, KpathConfig, build_graph,
                        cell_scores, spearman, werw_kpath)
 
 from conftest import (complete_graph, path_graph, per_slot_for,
-                      random_connected_graph, stages_only, star_graph)
+                      random_connected_graph, stages_only, star_graph,
+                      traced_peak)
 from reference import oracle_kpath, werw_kpath_reference
 
 
@@ -161,12 +161,8 @@ class TestWerwKpath:
     def test_memory_bounded_on_criterion6_graph(self, criterion6_graph):
         # 400k walks in blocks of BLOCK_WALKS: the tracemalloc peak measured
         # 12.65 MB, and the bound leaves about 25% headroom
-        tracemalloc.start()
-        try:
-            werw_kpath(criterion6_graph, KpathConfig(seed=607))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(werw_kpath, criterion6_graph,
+                              KpathConfig(seed=607))
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_memory_bounded_on_a_source_larger_than_a_block(self):
@@ -176,12 +172,7 @@ class TestWerwKpath:
         leaves = 20000
         g = build_graph([(0, i) for i in range(1, leaves + 1)]
                         + [(i, i + 1) for i in range(1, leaves, 2)], leaves + 1)
-        tracemalloc.start()
-        try:
-            scores = werw_kpath(g, KpathConfig(seed=607))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        scores, peak = traced_peak(werw_kpath, g, KpathConfig(seed=607))
         assert peak < 34e6, f"peak {peak / 1e6:.1f} MB"
         # recorded when the hub ran twice from one generator state
         assert hashlib.sha256(scores.tobytes()).hexdigest() == \
@@ -206,8 +197,8 @@ def test_desk_scale_outputs_match_recorded_digests():
                            base_seed=20240807)
     digests = {}
     for family, param, seed in cfg.cells():
-        _, scores = cell_scores(cfg.generator_spec(family, param, seed), seed,
-                                cfg.got, cfg.kpath,
+        _, scores = cell_scores(family, cfg.n, param, seed, cfg.got,
+                                cfg.kpath,
                                 stage=stages_only("gen", "lcc", "kpath"))
         digests[family] = hashlib.sha256(scores["kpath"].tobytes()).hexdigest()
     assert digests == DESK_DIGESTS
