@@ -115,7 +115,8 @@ class GotResult:
 def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     """Run the full simulation and return time-averaged node and edge scores.
 
-    Requires a connected graph with at least two nodes. Deterministic for a
+    Requires a connected graph with at least two nodes, and ValueError if
+    (epochs + 1) * n * vdiamonds_per_node exceeds int64. Deterministic for a
     fixed (graph, config, seed); equal to iterating the sequential reference
     ``epoch_step`` of ``tests/reference.py`` with the same generator.
 
@@ -135,6 +136,11 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     if not is_connected(g):
         raise ValueError("simulation requires a connected graph")
     tpn, vd, epochs = cfg.resolve(n)
+    # a node's stock sum over the epoch-0 snapshot and every epoch can reach
+    # all n * vd vdiamonds each time, and phi_sum must hold it exactly
+    if (epochs + 1) * n * vd > np.iinfo(np.int64).max:
+        raise ValueError(f"vdiamonds_per_node={vd} is too large: {epochs + 1} "
+                         f"stock snapshots of {n} nodes overflow int64")
     rng = make_rng(cfg.seed)
 
     nt = n * tpn

@@ -64,26 +64,6 @@ class Graph:
     edge_v: np.ndarray    # int64, length m, larger endpoint of each edge id
     degrees: np.ndarray   # int64, length n
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Sorted neighbor ids of ``u`` (a read-only view)."""
-        return self.adj[self.indptr[u]:self.indptr[u + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = int(np.searchsorted(row, v))
-        return i < row.size and row[i] == v
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Dense id of edge ``{u, v}``; raises GraphError if absent."""
-        row = self.neighbors(u)
-        i = int(np.searchsorted(row, v))
-        if i >= row.size or row[i] != v:
-            raise GraphError(f"no edge between {u} and {v}")
-        return int(self.adj_eids[self.indptr[u] + i])
-
-    def edge_endpoints(self, eid: int) -> tuple[int, int]:
-        return int(self.edge_u[eid]), int(self.edge_v[eid])
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, ordered by edge id."""
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
@@ -247,9 +227,3 @@ def format_edge_list(g: Graph) -> str:
     ``u v`` line per edge in edge-id order."""
     return f"# nodes: {g.n} edges: {g.m}\n" + "".join(
         f"{u} {v}\n" for u, v in g.edge_list())
-
-
-def write_edge_list(g: Graph, path) -> None:
-    """Write a graph in the edge-list text format (edge-id order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))

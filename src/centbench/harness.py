@@ -148,9 +148,6 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def write(self, path) -> None:
-        _write_json(path, self.to_dict())
-
 
 def _checked(cls, d: dict, section: str) -> dict:
     """A copy of ``d``, checked to be an object holding every required field
@@ -245,8 +242,8 @@ def run_cell(family: str, n: int, param: float, seed: int,
     and the wall time of each stage in ms. The arguments before
     ``all_pairs`` are ``cell_scores``'s, which it runs with a timing hook.
 
-    Raises CellError (with full cell context) on any stage failure; a failed
-    cell produces no partial records.
+    Raises CellError (with full cell context) on any stage failure, corr
+    included; a failed cell produces no partial records.
     """
     stage_ms: dict[str, float] = {}
     cell_t0 = time.perf_counter()
@@ -257,17 +254,16 @@ def run_cell(family: str, n: int, param: float, seed: int,
         stage_ms[tag] = (time.perf_counter() - t0) * 1000.0
         return result
 
+    pairs = _PAIRS if all_pairs else _PAIRS[:len(NODE_MEASURES) + 1]
     try:
         lcc, scores = cell_scores(family, n, param, seed, got_cfg, kpath_cfg,
                                   aux_prob, stage=timed)
+        scores.update(phi=scores["got"].phi, psi=scores["got"].psi)
+        results = timed("corr", lambda: [correlate(scores[a], scores[b])
+                                         for _, a, b in pairs])
     except Exception as exc:
         raise CellError(f"family={family} n={n} param={param} seed={seed}: "
                         f"{exc}") from exc
-
-    scores.update(phi=scores["got"].phi, psi=scores["got"].psi)
-    pairs = _PAIRS if all_pairs else _PAIRS[:len(NODE_MEASURES) + 1]
-    results = timed("corr", lambda: [correlate(scores[a], scores[b])
-                                     for _, a, b in pairs])
     # every record of the cell reports the same whole-cell wall time
     total_ms = (time.perf_counter() - cell_t0) * 1000.0
     return [ExperimentRecord(family=family, n=n, param=param, seed=seed,
@@ -334,22 +330,17 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def write_csv_report(records: list[ExperimentRecord], path) -> None:
     _write_csv(path, CSV_COLUMNS, (rec.csv_row() for rec in records))
 
 
 def write_json_report(cfg: ExperimentConfig, records, cells, path) -> None:
     """The config, the records and one entry per cell (see _run_cell_task)."""
-    _write_json(path, {"schema_version": SCHEMA_VERSION,
-                       "config": cfg.to_dict(),
-                       "records": [asdict(r) for r in records],
-                       "cells": cells})
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
+                   "records": [asdict(r) for r in records], "cells": cells},
+                  fh, indent=2)
+        fh.write("\n")
 
 
 def write_plot_data(records: list[ExperimentRecord], coefficient: str, path) -> None:

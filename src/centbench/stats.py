@@ -1,4 +1,5 @@
-"""Pearson, Spearman, and Kendall correlation coefficients.
+"""Pearson, Spearman, and Kendall correlation coefficients, all three
+from one call, ``correlate``.
 
 Conventions, fixed for testability:
 
@@ -10,8 +11,8 @@ Conventions, fixed for testability:
   neither concordant nor discordant. No tie renormalization is applied, so
   on heavily tied data (e.g. degree vectors) tau-a is smaller in magnitude
   than tau-b would be.
-* A constant input makes every coefficient undefined. That is reported as an
-  error (or a ``degenerate`` result), never as 0.
+* A constant input makes every coefficient undefined. That is reported as a
+  ``degenerate`` result, never as 0.
 
 Kendall counts the discordant pairs as the inversions of b once the pairs
 are sorted by (a, b) (Knight 1966), by a bottom-up merge on arrays: at each
@@ -26,10 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class ConstantInputError(ValueError):
-    """A correlation was requested against a constant vector."""
 
 
 def _as_sample(x, name: str) -> np.ndarray:
@@ -48,16 +45,7 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
     if av.size < 2:
         raise ValueError(f"need at least 2 samples, got {av.size}")
-    if np.all(av == av[0]):
-        raise ConstantInputError("first input is constant; coefficient undefined")
-    if np.all(bv == bv[0]):
-        raise ConstantInputError("second input is constant; coefficient undefined")
     return av, bv
-
-
-def pearson(a, b) -> float:
-    """Pearson's r: covariance over the product of standard deviations."""
-    return _pearson(*_check_pair(a, b))
 
 
 def _pearson(av: np.ndarray, bv: np.ndarray) -> float:
@@ -102,19 +90,6 @@ def _fractional(ranks) -> np.ndarray:
     return (np.cumsum(runs) - (runs - 1) / 2.0)[dense]
 
 
-def rank_with_ties(a) -> np.ndarray:
-    """Ascending fractional ranks (1-based); ties get the average rank.
-
-    Example: (5, 5, 7) ranks as (1.5, 1.5, 3).
-    """
-    return _fractional(_dense_ranks(_as_sample(a, "a")))
-
-
-def spearman(a, b) -> float:
-    """Spearman's rho: Pearson's r between the rank vectors."""
-    return _pearson(*map(_fractional, map(_dense_ranks, _check_pair(a, b))))
-
-
 def _count_inversions(ranks: np.ndarray) -> int:
     """Strict inversions (i < j with ranks[i] > ranks[j]) of integers in
     [0, s), by bottom-up merging.
@@ -155,11 +130,6 @@ def _kendall(ranks_a, ranks_b) -> tuple[float, int, int]:
     return (s_c - s_d) / (s * (s - 1) / 2), s_c, s_d
 
 
-def kendall(a, b) -> float:
-    """Kendall's tau-a: (s_c - s_d) / (s(s-1)/2)."""
-    return _kendall(*map(_dense_ranks, _check_pair(a, b)))[0]
-
-
 @dataclass(frozen=True)
 class CorrelationResult:
     """All three coefficients for one sample pair.
@@ -177,10 +147,10 @@ class CorrelationResult:
 
 def correlate(a, b) -> CorrelationResult:
     """Compute Pearson, Spearman, and Kendall together for a sample pair,
-    checking the pair once and ranking each vector once."""
-    try:
-        av, bv = _check_pair(a, b)
-    except ConstantInputError:
+    checking the pair once and ranking each vector once. ValueError unless
+    both are finite one-dimensional samples of one length, at least 2."""
+    av, bv = _check_pair(a, b)
+    if np.all(av == av[0]) or np.all(bv == bv[0]):
         return CorrelationResult(r=None, rho=None, tau=None,
                                  s_c=None, s_d=None, degenerate=True)
     ranks = [_dense_ranks(av), _dense_ranks(bv)]

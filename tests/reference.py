@@ -34,6 +34,13 @@ import numpy as np
 from centbench import DisconnectedGraphError, GotConfig, Graph, make_rng
 
 
+def neighbor_rows(g: Graph, values=None) -> list[list]:
+    """Each node's CSR row as a list: its sorted neighbours, or the entries
+    of ``values`` (such as ``g.adj_eids``) at the same slots."""
+    values = g.adj if values is None else values
+    return [values[g.indptr[u]:g.indptr[u + 1]].tolist() for u in range(g.n)]
+
+
 def werw_kpath_reference(g: Graph, k: int, walks_per_slot: int,
                          seed: int) -> np.ndarray:
     """Per-slot weighted trail sampler, one scalar walk at a time.
@@ -50,9 +57,8 @@ def werw_kpath_reference(g: Graph, k: int, walks_per_slot: int,
         raise ValueError(f"need m >= 1, k >= 1 and walks_per_slot >= 1, got "
                          f"m={g.m}, k={k}, walks_per_slot={walks_per_slot}")
     rng = make_rng(seed)
-    rows = [list(zip(g.neighbors(u).tolist(),
-                     g.adj_eids[g.indptr[u]:g.indptr[u + 1]].tolist()))
-            for u in range(g.n)]
+    rows = [list(zip(row, eids)) for row, eids
+            in zip(neighbor_rows(g), neighbor_rows(g, g.adj_eids))]
     ends = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
     budget = 2 * g.m * walks_per_slot
     length = max(k - 1, 1)
@@ -130,9 +136,8 @@ def oracle_kpath(g: Graph, k: int, max_n: int = 10, max_k: int = 6) -> np.ndarra
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     m = g.m
-    incident = [list(zip(g.neighbors(u).tolist(),
-                         g.adj_eids[g.indptr[u]:g.indptr[u + 1]].tolist()))
-                for u in range(g.n)]
+    incident = [list(zip(row, eids)) for row, eids
+                in zip(neighbor_rows(g), neighbor_rows(g, g.adj_eids))]
     totals = [Fraction(0)] * m
     for source in range(g.n):
         walk_count = 0
@@ -184,6 +189,7 @@ class GotState:
     thieves: list[ThiefState]
     epoch: int
     edge_loaded_crossings: np.ndarray    # int64 per edge, current epoch only
+    edge_ids: dict[tuple[int, int], int]  # edge id of each (u, v), u < v
 
 
 def initial_state(g: Graph, cfg: GotConfig) -> GotState:
@@ -195,6 +201,7 @@ def initial_state(g: Graph, cfg: GotConfig) -> GotState:
         thieves=thieves,
         epoch=0,
         edge_loaded_crossings=np.zeros(g.m, dtype=np.int64),
+        edge_ids={pair: eid for eid, pair in enumerate(g.edge_list())},
     )
 
 
@@ -215,7 +222,8 @@ def epoch_step(g: Graph, state: GotState, rng: np.random.Generator) -> GotState:
             stack = thief.path_stack
             frm = stack.pop()
             to = stack[-1]
-            state.edge_loaded_crossings[g.edge_id(frm, to)] += 1
+            eid = state.edge_ids[min(frm, to), max(frm, to)]
+            state.edge_loaded_crossings[eid] += 1
             thief.position = to
             if to == thief.home:
                 counts[to] += 1
@@ -256,7 +264,7 @@ def oracle_betweenness(g: Graph, max_n: int = 200) -> np.ndarray:
         raise ValueError(f"oracle limited to n <= {max_n}, got n={n}")
     if n < 3 or g.m == 0:
         return np.zeros(n, dtype=np.float64)
-    rows = [g.neighbors(u).tolist() for u in range(n)]
+    rows = neighbor_rows(g)
     dist_m = np.full((n, n), np.inf, dtype=np.float64)
     sigma_m = np.zeros((n, n), dtype=np.float64)
     for s in range(n):
@@ -353,7 +361,7 @@ def oracle_closeness(g: Graph) -> np.ndarray:
     n = g.n
     if n < 2:
         raise ValueError(f"closeness needs n >= 2, got n={g.n}")
-    rows = [g.neighbors(u).tolist() for u in range(n)]
+    rows = neighbor_rows(g)
     out = np.empty(n, dtype=np.float64)
     for s in range(n):
         dist = [-1] * n
@@ -374,7 +382,7 @@ def oracle_closeness(g: Graph) -> np.ndarray:
 
 def oracle_components(g: Graph) -> list[list[int]]:
     """Components as sorted node-id lists, by smallest node id."""
-    rows = [g.neighbors(u).tolist() for u in range(g.n)]
+    rows = neighbor_rows(g)
     seen = [False] * g.n
     comps = []
     for s in range(g.n):

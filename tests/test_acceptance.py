@@ -27,10 +27,9 @@ import pytest
 
 from centbench import (ExperimentConfig, GotConfig, KpathConfig,
                        betweenness_centrality, cell_scores,
-                       clustering_coefficient, derive_seed, gen_erdos_renyi,
-                       gen_holme_kim, gen_nws_small_world, is_connected,
-                       kendall, pearson, run_experiment, run_got, spearman,
-                       werw_kpath)
+                       clustering_coefficient, correlate, derive_seed,
+                       gen_erdos_renyi, gen_holme_kim, gen_nws_small_world,
+                       is_connected, run_experiment, run_got, werw_kpath)
 
 from conftest import (complete_graph, cycle_graph, path_graph, per_slot_for,
                       random_graph, random_connected_graph, stages_only,
@@ -111,9 +110,8 @@ def test_criterion2_correlations_match_direct_formulas():
         if np.all(a == a[0]) or np.all(b == b[0]):
             continue
         done += 1
-        r = pearson(a, b)
-        rho = spearman(a, b)
-        tau = kendall(a, b)
+        res = correlate(a, b)
+        r, rho, tau = res.r, res.rho, res.tau
         for v in (r, rho, tau):
             assert abs(v) <= 1 + 1e-12
         diffs = (
@@ -183,7 +181,7 @@ def test_criterion4_kpath_rank_fidelity():
                 continue
             est = werw_kpath(g, KpathConfig(
                 k=k, walks_per_slot=per_slot_for(10000, g), seed=idx * 7 + k))
-            s = spearman(est, oracle)
+            s = correlate(est, oracle).rho
             worst[k] = min(worst[k], s)
             checked[k] += 1
             assert s >= 0.9, f"k={k} n={g.n} m={g.m} spearman={s:.3f}"
@@ -260,7 +258,7 @@ def _psi_self_agreement(family, param, seed):
                          stage=stages_only("gen", "lcc"))
     a, b = (run_got(lcc, replace(cfg.got, seed=derive_seed(seed, tag))).psi
             for tag in ("psi-replica-a", "psi-replica-b"))
-    return spearman(a, b)
+    return correlate(a, b).rho
 
 
 def test_criterion5_edge_band(desk_matrix):
@@ -347,7 +345,7 @@ def test_edge_band_holds_where_functionals_align():
     for seed in (1, 2, 3):
         _, scores = cell_scores("SF", cfg.n, 5, seed, cfg.got, cfg.kpath,
                                 stage=stages_only("gen", "lcc", "got", "kpath"))
-        results.append(spearman(scores["got"].psi, scores["kpath"]))
+        results.append(correlate(scores["got"].psi, scores["kpath"]).rho)
     report("5b", "edge band at k=1 (diagnostic)", all(r >= 0.5 for r in results),
            f"spearman values {[round(r, 3) for r in results]}")
     assert all(r >= 0.5 for r in results), results

@@ -244,6 +244,22 @@ class TestExperiment:
         assert len(lines) == 2 and lines[1].startswith("  failed: ")
         assert (out_dir / "errors.csv").exists()
 
+    def test_a_single_edge_component_fails_its_cell_alone(self, tmp_path,
+                                                          capsys):
+        # at p=1e-5 the ER graph's largest component is one edge, which
+        # passes the LCC check and fails when its one edge score is
+        # correlated; the SF cell is still reported
+        code, out_dir = run_config(tmp_path, {
+            "n": 1000, "sf_m": [2], "er_p": [0.00001], "got": {"epochs": 5},
+            "kpath": {"k": 3, "walks_per_slot": 1}})
+        assert code == 0
+        assert capsys.readouterr().out.startswith("15 records, 1 failed cells")
+        rows = (out_dir / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 15 and all(",SF,1000," in r for r in rows)
+        errors = (out_dir / "errors.csv").read_text().splitlines()
+        assert len(errors) == 2 and errors[1].startswith("ER,1000,1e-05,")
+        assert errors[1].endswith('need at least 2 samples, got 1"')
+
 
 class TestErrors:
     """Bad input ends with exit code 2 and one line on stderr."""
@@ -396,6 +412,16 @@ class TestErrors:
         run_cli("experiment", "--config", str(cfg_path), "--workers", "100000",
                 "--out-dir", str(tmp_path / "out"))
         assert seen["workers"] == min(100000, os.cpu_count() or 1)
+
+
+def test_got_vdiamonds_past_the_int64_bound_exit_two(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 50}\n" for i in range(50)))
+    assert run_cli("got", "--graph", str(path), "--epochs", "8",
+                   "--vdiamonds-per-node", str(2**61)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("centbench: error: vdiamonds_per_node=")
+    assert err.count("\n") == 1
 
 
 def test_got_refuses_the_removed_epoch_log_base_option(tmp_path, capsys):

@@ -175,6 +175,19 @@ class TestRunGot:
         with pytest.raises(ValueError):
             run_got(build_graph([], 1), GotConfig(epochs=1))
 
+    def test_stock_sums_must_fit_int64(self):
+        # a node's stock sum over epochs 0..8 is at most 9 * n * vd
+        g = cycle_graph(50)
+        vd = np.iinfo(np.int64).max // (9 * g.n)
+        res = run_got(g, GotConfig(vdiamonds_per_node=vd, epochs=8),
+                      collect_trace=True)
+        assert res.phi == pytest.approx(np.full(g.n, 9 * vd / 8), rel=1e-12)
+        assert all(rec.vdiamonds_held + rec.thieves_carrying == g.n * vd
+                   for rec in res.trace)
+        for too_many in (vd + 1, 2**61):
+            with pytest.raises(ValueError, match="^vdiamonds_per_node="):
+                run_got(g, GotConfig(vdiamonds_per_node=too_many, epochs=8))
+
     def test_determinism(self, np_rng):
         g = random_connected_graph(20, 0.2, np_rng)
         cfg = GotConfig(vdiamonds_per_node=4, epochs=30, seed=555)
@@ -323,6 +336,7 @@ class TestRunGot:
         cfg = GotConfig(vdiamonds_per_node=1, epochs=1, seed=9)
         state = initial_state(g, cfg)
         rng = make_rng(cfg.seed)
+        edges = set(g.edge_list())
         for _ in range(15):
             epoch_step(g, state, rng)
             for t in state.thieves:
@@ -331,7 +345,7 @@ class TestRunGot:
                 if t.carrying:
                     # retracing: every consecutive stack pair is an edge
                     for a, b in zip(t.path_stack, t.path_stack[1:]):
-                        assert g.has_edge(a, b)
+                        assert (min(a, b), max(a, b)) in edges
 
 
 def check_against_naive(counts, nt, att_ids, att_nodes, dep_ids, dep_nodes):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from centbench import (DisconnectedGraphError, Graph, GraphError, build_graph,
                        closeness_centrality, gen_erdos_renyi, gen_holme_kim,
                        is_connected, largest_connected_component,
-                       parse_edge_list, read_edge_list, write_edge_list)
-from centbench.graph import component_labels
+                       parse_edge_list, read_edge_list)
+from centbench.graph import component_labels, format_edge_list
 
 from conftest import cycle_graph, path_graph
 from reference import lexsort_csr, oracle_components
@@ -20,7 +20,7 @@ def test_build_path_graph():
     assert g.n == 3 and g.m == 2
     assert g.degrees.tolist() == [1, 2, 1]
     assert g.edge_list() == [(0, 1), (1, 2)]
-    assert g.neighbors(1).tolist() == [0, 2]
+    assert g.adj[g.indptr[1]:g.indptr[2]].tolist() == [0, 2]
 
 
 def test_self_loop_rejected():
@@ -67,11 +67,12 @@ def test_edges_must_be_pairs():
 
 def test_edge_ids_follow_input_order():
     g = build_graph([(2, 1), (0, 2), (0, 1)], 3)
-    assert g.edge_endpoints(0) == (1, 2)
-    assert g.edge_endpoints(1) == (0, 2)
-    assert g.edge_id(1, 2) == 0
-    assert g.edge_id(2, 0) == 1
-    assert g.edge_id(0, 1) == 2
+    assert g.edge_list() == [(1, 2), (0, 2), (0, 1)]
+    assert g.edge_u.tolist() == [1, 0, 0]
+    assert g.edge_v.tolist() == [2, 2, 1]
+    # each slot carries the id of its edge: row 0 is (1, 2), row 2 is (0, 1)
+    assert g.adj_eids[g.indptr[0]:g.indptr[1]].tolist() == [2, 1]
+    assert g.adj_eids[g.indptr[2]:g.indptr[3]].tolist() == [1, 0]
 
 
 def test_empty_graph():
@@ -81,14 +82,6 @@ def test_empty_graph():
     # every node is its own component, labelled by its own id
     assert component_labels(g).tolist() == [0, 1, 2, 3]
     assert component_labels(build_graph([], 0)).tolist() == []
-
-
-def test_has_edge_and_missing_edge_id():
-    g = path_graph(3)
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
-    with pytest.raises(GraphError):
-        g.edge_id(0, 2)
 
 
 class TestLargestConnectedComponent:
@@ -178,7 +171,7 @@ def test_roundtrip_and_handshake(case):
     assert int(g.degrees.sum()) == 2 * g.m
     # neighbor rows sorted and duplicate-free
     for u in range(n):
-        row = g.neighbors(u).tolist()
+        row = g.adj[g.indptr[u]:g.indptr[u + 1]].tolist()
         assert row == sorted(set(row))
     # rebuilding from the emitted edge list reproduces adjacency and ids
     h = build_graph(g.edge_list(), n)
@@ -321,7 +314,7 @@ class TestEdgeListFormat:
     def test_file_roundtrip(self, tmp_path):
         g = cycle_graph(6)
         path = tmp_path / "g.edges"
-        write_edge_list(g, path)
+        path.write_text(format_edge_list(g), encoding="utf-8")
         h = read_edge_list(path)
         assert h.edge_list() == g.edge_list()
         assert h.n == g.n

@@ -57,6 +57,13 @@ class TestRunCell:
         with pytest.raises(CellError, match="family=ER.*degenerate"):
             run_cell("ER", 200, 0.0, seed=1)
 
+    def test_a_failing_corr_stage_is_a_cell_error(self):
+        # one edge passes the LCC check, but one edge score is too short
+        # to correlate
+        with pytest.raises(CellError, match=r"^family=ER n=2 param=1\.0 "
+                           r"seed=1: need at least 2 samples, got 1$"):
+            run_cell("ER", 2, 1.0, 1)
+
     def test_deterministic_modulo_wall_time(self):
         a, _ = run_cell("ER", 120, 0.05, seed=9, got_cfg=FAST_GOT,
                         kpath_cfg=FAST_KPATH)
@@ -221,7 +228,7 @@ class TestExperimentConfig:
                                got=GotConfig(epochs=10),
                                kpath=KpathConfig(k=3))
         path = tmp_path / "cfg.json"
-        cfg.write(path)
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
         loaded = ExperimentConfig.from_file(path)
         assert loaded == cfg
 

@@ -3,8 +3,9 @@
 Every module under ``src/centbench`` uses each name it imports (the
 package ``__init__`` re-exports its imports, so it is exempt from that
 rule), no module imports from the test suite or its references, and every
-module-level private function or class is used somewhere in the library
-outside its own definition (a use from the tests alone does not count).
+module-level function or class and every method is used somewhere in the
+library outside its own definition (a use from the tests alone, or a
+re-export from ``__init__``, does not count).
 The generators draw through ``rng._Draws`` and never call numpy's
 ``Generator`` once per draw. An experiment record holds the report CSV's
 columns and nothing else. Only ``generators.py``, which holds the family
@@ -68,18 +69,30 @@ def names_outside(node, skip):
         yield from names_outside(child, skip)
 
 
-def test_no_dead_private_helpers():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
-    dead = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")
-                    and not any(node.name in names_outside(t, node)
-                                for t in trees.values())):
-                dead.append(f"{name}:{node.name}")
-    assert not dead, f"private helper(s) used nowhere in the library: {dead}"
+def definitions(tree):
+    """Each module-level function and class of ``tree``, and each method
+    of its classes but the dunders, in source order."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__"))
+
+
+def test_no_dead_definitions():
+    """A definition that only the tests call is surface to delete.
+
+    The check goes by name: a use of any function, attribute or import of
+    that name anywhere in the library counts. So a method that shares its
+    name with another call passes unseen; an ``ExperimentConfig.write``
+    that nothing called would hide behind ``fh.write``."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in LIBRARY]
+    dead = [node.name for tree in trees for node in definitions(tree)
+            if not any(node.name in names_outside(t, node) for t in trees)]
+    assert not dead, ("definition(s) used nowhere else in the library: "
+                      + ", ".join(dead))
 
 
 def test_generators_make_no_per_draw_generator_call():

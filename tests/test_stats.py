@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from centbench import (ConstantInputError, correlate, kendall, pearson,
-                       rank_with_ties, spearman)
+from centbench import correlate
+from centbench.stats import _dense_ranks, _fractional
 
 
 def brute_force_counts(a, b):
@@ -36,7 +36,7 @@ def exact_pearson(x, y):
 def affine_image_keeps_r(a, scale, shift):
     """True when the float images of x -> +-scale*x + shift, taken exactly,
     have r against 2a - 1 within half the affine test's tolerance of the
-    r of ``a``. Only then can a faithful ``pearson`` pass that test."""
+    r of ``a``. Only then can a faithful Pearson's r pass that test."""
     b = [2.0 * x - 1.0 for x in a]
     r = exact_pearson(a, b)
     for sign in (1.0, -1.0):
@@ -54,47 +54,51 @@ def definition_ranks(a):
     return 1.0 + less + (equal - 1) / 2.0
 
 
+def ranks(values):
+    """The fractional ranks that Spearman's rho correlates."""
+    return _fractional(_dense_ranks(np.asarray(values, dtype=np.float64)))
+
+
 class TestPearson:
     def test_perfect(self):
-        assert pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
+        assert correlate([1, 2, 3], [1, 2, 3]).r == pytest.approx(1.0)
 
     def test_anti(self):
-        assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+        assert correlate([1, 2, 3], [3, 2, 1]).r == pytest.approx(-1.0)
 
     def test_hand_value(self):
         # direct evaluation: cov=1, sigma_a=sqrt(2/3), sigma_b=sqrt(14)/3
-        assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(9 / math.sqrt(84),
-                                                              abs=1e-12)
+        assert correlate([1, 2, 3], [1, 2, 4]).r == pytest.approx(
+            9 / math.sqrt(84), abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            pearson([1, 2], [1, 2, 3])
+            correlate([1, 2], [1, 2, 3])
 
     def test_constant_input_degenerate(self):
-        with pytest.raises(ConstantInputError):
-            pearson([5, 5, 5], [1, 2, 3])
-        with pytest.raises(ConstantInputError):
-            pearson([1, 2, 3], [2.5, 2.5, 2.5])
+        for a, b in (([5, 5, 5], [1, 2, 3]), ([1, 2, 3], [2.5, 2.5, 2.5])):
+            res = correlate(a, b)
+            assert res.degenerate and res.r is None
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            pearson([1], [2])
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            correlate([1], [2])
 
 
 class TestRanks:
     def test_distinct(self):
-        assert rank_with_ties([10, 20, 30]).tolist() == [1, 2, 3]
+        assert ranks([10, 20, 30]).tolist() == [1, 2, 3]
 
     def test_tied_pair(self):
-        assert rank_with_ties([5, 5, 7]).tolist() == [1.5, 1.5, 3]
+        assert ranks([5, 5, 7]).tolist() == [1.5, 1.5, 3]
 
     def test_tied_block(self):
-        assert rank_with_ties([3, 1, 3, 2]).tolist() == [3.5, 1, 3.5, 2]
+        assert ranks([3, 1, 3, 2]).tolist() == [3.5, 1, 3.5, 2]
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_matches_definition(self, values):
-        got = rank_with_ties(values)
+        got = ranks(values)
         want = definition_ranks(values)
         assert np.allclose(got, want)
 
@@ -102,28 +106,28 @@ class TestRanks:
 class TestSpearman:
     def test_monotone_transform_is_one(self):
         a = np.asarray([0.3, 1.7, 2.0, 5.5])
-        assert spearman(a, np.exp(a)) == pytest.approx(1.0)
+        assert correlate(a, np.exp(a)).rho == pytest.approx(1.0)
 
     def test_hand_value(self):
-        assert spearman([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5)
+        assert correlate([1, 2, 3], [1, 3, 2]).rho == pytest.approx(0.5)
 
     def test_reversed(self):
-        assert spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
+        assert correlate([1, 2, 3, 4], [4, 3, 2, 1]).rho == pytest.approx(-1.0)
 
 
 class TestKendall:
     def test_hand_value(self):
-        assert kendall([1, 2, 3], [1, 3, 2]) == pytest.approx(1 / 3)
+        assert correlate([1, 2, 3], [1, 3, 2]).tau == pytest.approx(1 / 3)
 
     def test_identical(self):
-        assert kendall([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
+        assert correlate([1, 2, 3, 4], [1, 2, 3, 4]).tau == pytest.approx(1.0)
 
     def test_reversed(self):
-        assert kendall([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
+        assert correlate([1, 2, 3, 4], [4, 3, 2, 1]).tau == pytest.approx(-1.0)
 
     def test_tau_a_keeps_full_denominator_under_ties(self):
         # one tied pair in a: s_c=2, s_d=0, denominator stays 3
-        assert kendall([1, 1, 2], [5, 6, 7]) == pytest.approx(2 / 3)
+        assert correlate([1, 1, 2], [5, 6, 7]).tau == pytest.approx(2 / 3)
 
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=120).filter(
         lambda v: len(set(v)) > 1),
@@ -143,9 +147,10 @@ class TestSymmetryAndInvariance:
     def test_symmetry(self, a, data):
         b = data.draw(st.lists(st.floats(-100, 100), min_size=len(a),
                                max_size=len(a)).filter(lambda v: len(set(v)) > 1))
-        assert pearson(a, b) == pytest.approx(pearson(b, a), abs=1e-12)
-        assert spearman(a, b) == pytest.approx(spearman(b, a), abs=1e-12)
-        assert kendall(a, b) == pytest.approx(kendall(b, a), abs=1e-12)
+        ab, ba = correlate(a, b), correlate(b, a)
+        assert ab.r == pytest.approx(ba.r, abs=1e-12)
+        assert ab.rho == pytest.approx(ba.rho, abs=1e-12)
+        assert ab.tau == pytest.approx(ba.tau, abs=1e-12)
 
     @given(st.lists(st.floats(-50, 50), min_size=3, max_size=40)
            .filter(lambda v: len({2.0 * x - 1.0 for x in v}) > 1),
@@ -158,10 +163,10 @@ class TestSymmetryAndInvariance:
         # the float map must stay affine (shift=2.0 rounds 2 + 2**-52 to 2)
         assume(affine_image_keeps_r(a, scale, shift))
         b = [2.0 * x - 1.0 for x in a]
-        base = pearson(a, b)
-        assert pearson([scale * x + shift for x in a], b) == pytest.approx(
+        base = correlate(a, b).r
+        assert correlate([scale * x + shift for x in a], b).r == pytest.approx(
             base, abs=1e-9)
-        assert pearson([-scale * x + shift for x in a], b) == pytest.approx(
+        assert correlate([-scale * x + shift for x in a], b).r == pytest.approx(
             -base, abs=1e-9)
 
     def test_affine_guard_skips_only_images_that_lose_r(self):
@@ -184,8 +189,9 @@ class TestSymmetryAndInvariance:
         b = data.draw(st.lists(st.floats(-20, 20), min_size=len(a),
                                max_size=len(a)).filter(lambda v: len(set(v)) > 1))
         a_t = [math.exp(0.1 * x) + 3 * x for x in a]  # strictly increasing
-        assert spearman(a_t, b) == pytest.approx(spearman(a, b), abs=1e-12)
-        assert kendall(a_t, b) == pytest.approx(kendall(a, b), abs=1e-12)
+        res_t, res = correlate(a_t, b), correlate(a, b)
+        assert res_t.rho == pytest.approx(res.rho, abs=1e-12)
+        assert res_t.tau == pytest.approx(res.tau, abs=1e-12)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200)
            .filter(lambda v: len(set(v)) > 1), st.data())
@@ -193,8 +199,9 @@ class TestSymmetryAndInvariance:
     def test_bounds(self, a, data):
         b = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(a),
                                max_size=len(a)).filter(lambda v: len(set(v)) > 1))
-        for f in (pearson, spearman, kendall):
-            assert abs(f(a, b)) <= 1 + 1e-12
+        res = correlate(a, b)
+        for value in (res.r, res.rho, res.tau):
+            assert abs(value) <= 1 + 1e-12
 
 
 class TestCorrelate:
@@ -213,15 +220,24 @@ class TestCorrelate:
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=150).filter(
         lambda v: len(set(v)) > 1), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_equals_the_single_coefficients_bit_for_bit(self, a, data):
+    def test_rho_is_r_of_the_ranks_bit_for_bit(self, a, data):
         b = data.draw(st.lists(st.floats(-5, 5), min_size=len(a),
                                max_size=len(a)).filter(lambda v: len(set(v)) > 1))
         res = correlate(a, b)
-        assert res.r == pearson(a, b)
-        assert res.rho == spearman(a, b) == pearson(rank_with_ties(a),
-                                                    rank_with_ties(b))
-        assert res.tau == kendall(a, b)
-        assert (res.s_c, res.s_d) == brute_force_counts(a, b)
+        assert res.rho == correlate(definition_ranks(a),
+                                    definition_ranks(b)).r
+        s_c, s_d = brute_force_counts(a, b)
+        assert (res.s_c, res.s_d) == (s_c, s_d)
+        assert res.tau == (s_c - s_d) / (len(a) * (len(a) - 1) / 2)
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([[1, 2], [3, 4]], [1, 2], "a must be one-dimensional"),
+        ([1, 2], [1, math.inf], "b contains non-finite values"),
+        ([1, math.nan], [1, 2], "a contains non-finite values"),
+    ])
+    def test_rejects_samples_that_are_not_finite_vectors(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            correlate(a, b)
 
     def test_checks_once_and_ranks_each_vector_once(self, monkeypatch):
         import centbench.stats as stats
@@ -241,10 +257,10 @@ def test_against_scipy_on_untied_data(np_rng):
         s = int(np_rng.integers(3, 200))
         a = np_rng.normal(size=s)
         b = np_rng.normal(size=s)
-        assert pearson(a, b) == pytest.approx(scipy_stats.pearsonr(a, b)[0],
-                                              abs=1e-10)
-        assert spearman(a, b) == pytest.approx(scipy_stats.spearmanr(a, b)[0],
-                                               abs=1e-10)
+        res = correlate(a, b)
+        assert res.r == pytest.approx(scipy_stats.pearsonr(a, b)[0], abs=1e-10)
+        assert res.rho == pytest.approx(scipy_stats.spearmanr(a, b)[0],
+                                        abs=1e-10)
         # tau-a equals tau-b when no ties are present
-        assert kendall(a, b) == pytest.approx(scipy_stats.kendalltau(a, b)[0],
-                                              abs=1e-10)
+        assert res.tau == pytest.approx(scipy_stats.kendalltau(a, b)[0],
+                                        abs=1e-10)
