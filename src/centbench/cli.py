@@ -23,13 +23,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
 from .generators import FAMILIES, GeneratorSpec
-from .got import MEAN_CONVENTIONS, GotConfig, run_got
+from .got import GotConfig, run_got
 from .graph import (format_edge_list, is_number, largest_connected_component,
                     read_edge_list)
 from .harness import ExperimentConfig, run_experiment
@@ -107,13 +108,14 @@ def _cmd_centrality(args) -> int:
     return 0
 
 
+def _config(cls, args):
+    """A ``cls`` built from the options named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _cmd_got(args) -> int:
-    cfg = GotConfig(thieves_per_node=args.thieves_per_node,
-                    vdiamonds_per_node=args.vdiamonds_per_node,
-                    epochs=args.epochs,
-                    mean_convention=args.mean_convention,
-                    seed=args.seed)
-    res = run_got(_read_graph(args), cfg, collect_trace=args.trace is not None)
+    res = run_got(_read_graph(args), _config(GotConfig, args),
+                  collect_trace=args.trace is not None)
     _write_scores(res.phi, args.node_out, args.format)
     if args.edge_out is not None:
         _write_scores(res.psi, args.edge_out, args.format)
@@ -126,9 +128,7 @@ def _cmd_got(args) -> int:
 
 
 def _cmd_kpath(args) -> int:
-    cfg = KpathConfig(k=args.k, walks_per_slot=args.walks_per_slot,
-                      seed=args.seed)
-    scores = werw_kpath(_read_graph(args), cfg)
+    scores = werw_kpath(_read_graph(args), _config(KpathConfig, args))
     _write_scores(scores, args.out, args.format)
     return 0
 
@@ -195,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=GotConfig.thieves_per_node)
     p.add_argument("--vdiamonds-per-node", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--mean-convention", choices=MEAN_CONVENTIONS,
-                   default=GotConfig.mean_convention)
     p.add_argument("--seed", type=int, default=GotConfig.seed)
     p.add_argument("--node-out", default=None)
     p.add_argument("--edge-out", default=None)

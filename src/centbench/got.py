@@ -41,10 +41,9 @@ holds the edge ids in the narrowest unsigned type that fits them all
 outgrows the array it doubles, the old rows copied into its front, so its
 size follows the deepest trail.
 
-Score accumulation: with ``mean_convention="per-epoch"`` the sums over
-epochs 0..T (T+1 addends, where epoch 0 is the initial state) are divided
-by the epoch count T; ``"arithmetic"`` divides by T+1 instead. The epoch
-count defaults to ceil(ln(n)^3).
+Score accumulation: the sums over epochs 0..T (T+1 addends, where epoch 0
+is the initial state) are divided by the epoch count T, which defaults to
+ceil(ln(n)^3).
 """
 from __future__ import annotations
 
@@ -56,8 +55,6 @@ import numpy as np
 
 from .graph import Graph, check_fields, is_connected, is_int, is_int_or_null
 from .rng import make_rng
-
-MEAN_CONVENTIONS = ("per-epoch", "arithmetic")
 
 
 def default_epochs(n: int) -> int:
@@ -78,8 +75,9 @@ class GotConfig:
     thieves_per_node: int = 1
     vdiamonds_per_node: int | None = None
     epochs: int | None = None
-    mean_convention: str = "per-epoch"
     seed: int = 0
+    # not a field; perfbench's check_got reads it until ROADMAP item 4b
+    mean_convention = "per-epoch"
 
     def __post_init__(self):
         counts = ("thieves_per_node", "vdiamonds_per_node", "epochs")
@@ -87,14 +85,18 @@ class GotConfig:
             (("thieves_per_node", "seed"), is_int, "an integer"),
             (("vdiamonds_per_node", "epochs"), is_int_or_null,
              "an integer or null"),
-            (("mean_convention",), MEAN_CONVENTIONS.__contains__,
-             f"one of {MEAN_CONVENTIONS}"),
             (counts, lambda v: v is None or v >= 1, "at least 1")))
 
     def resolve(self, n: int) -> tuple[int, int, int]:
-        """Concrete (thieves_per_node, vdiamonds_per_node, epochs) for n nodes."""
+        """Concrete (thieves_per_node, vdiamonds_per_node, epochs) for n nodes;
+        ValueError if a node's stock sum over epochs 0..T, at most
+        (epochs + 1) * n * vdiamonds_per_node, would overflow int64."""
         vd = self.vdiamonds_per_node if self.vdiamonds_per_node is not None else n
         epochs = self.epochs if self.epochs is not None else default_epochs(n)
+        if (epochs + 1) * n * vd > np.iinfo(np.int64).max:
+            raise ValueError(f"vdiamonds_per_node={vd} is too large: "
+                             f"{epochs + 1} stock snapshots of {n} nodes "
+                             f"overflow int64")
         return self.thieves_per_node, vd, epochs
 
 
@@ -115,8 +117,8 @@ class GotResult:
 def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     """Run the full simulation and return time-averaged node and edge scores.
 
-    Requires a connected graph with at least two nodes, and ValueError if
-    (epochs + 1) * n * vdiamonds_per_node exceeds int64. Deterministic for a
+    Requires a connected graph with at least two nodes and a config that
+    ``cfg.resolve(n)`` accepts (its int64 bound). Deterministic for a
     fixed (graph, config, seed); equal to iterating the sequential reference
     ``epoch_step`` of ``tests/reference.py`` with the same generator.
 
@@ -136,11 +138,6 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
     if not is_connected(g):
         raise ValueError("simulation requires a connected graph")
     tpn, vd, epochs = cfg.resolve(n)
-    # a node's stock sum over the epoch-0 snapshot and every epoch can reach
-    # all n * vd vdiamonds each time, and phi_sum must hold it exactly
-    if (epochs + 1) * n * vd > np.iinfo(np.int64).max:
-        raise ValueError(f"vdiamonds_per_node={vd} is too large: {epochs + 1} "
-                         f"stock snapshots of {n} nodes overflow int64")
     rng = make_rng(cfg.seed)
 
     nt = n * tpn
@@ -197,8 +194,7 @@ def run_got(g: Graph, cfg: GotConfig, collect_trace: bool = False) -> GotResult:
             trace.append(TraceRecord(epoch, int(counts.sum()),
                                      int(carrying.sum()), int(refused)))
 
-    denom = float(epochs if cfg.mean_convention == "per-epoch" else epochs + 1)
-    return GotResult(phi=phi_sum / denom, psi=psi_sum / denom, trace=trace)
+    return GotResult(phi=phi_sum / epochs, psi=psi_sum / epochs, trace=trace)
 
 
 def _resolve_pickups(counts, carrying, att_ids, att_nodes, dep_ids, dep_nodes, n):

@@ -113,6 +113,10 @@ class ExperimentConfig:
             if seed := getattr(self, section).seed:
                 raise ValueError(f"config key {section}.seed must be 0 (the "
                                  f"seed is derived per cell), got {seed}")
+        try:  # no component has more than n nodes, so n bounds every cell
+            self.got.resolve(self.n)
+        except ValueError as exc:  # a message led by vdiamonds_per_node
+            raise ValueError(f"config key got.{exc}") from None
 
     def cells(self) -> list[tuple[str, float, int]]:
         """(family, param, cell_seed) triples in deterministic order."""

@@ -354,9 +354,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("section, message", [
         ({"got": {"log_base": "3"}}, "unknown config key(s): got.log_base"),
-        ({"got": {"mean_convention": "mean"}},
-         "config key got.mean_convention must be one of "
-         "('per-epoch', 'arithmetic'), got 'mean'"),
+        ({"got": {"mean_convention": "per-epoch"}},
+         "unknown config key(s): got.mean_convention"),
         ({"got": {"vdiamonds_per_node": 0}},
          "config key got.vdiamonds_per_node must be at least 1, got 0"),
         ({"kpath": {"k": 0}}, "config key kpath.k must be at least 1, got 0"),
@@ -372,6 +371,11 @@ class TestErrors:
          "config key er_p must be a list of finite numbers, got [nan]"),
         ({"er_p": [0.05, float("inf")]},
          "config key er_p must be a list of finite numbers, got [0.05, inf]"),
+        # the stock sums' int64 bound, with n as every component's bound
+        ({"n": 50, "er_p": [0.2],
+          "got": {"vdiamonds_per_node": 2**62, "epochs": 8}},
+         "config key got.vdiamonds_per_node=4611686018427387904 is too "
+         "large: 9 stock snapshots of 50 nodes overflow int64"),
     ])
     def test_bad_shared_setting_exits_two_before_any_cell(
             self, tmp_path, capsys, section, message):
@@ -430,6 +434,22 @@ def test_got_refuses_the_removed_epoch_log_base_option(tmp_path, capsys):
                 "--epoch-log-base", "2")
     assert err.value.code == 2
     assert "--epoch-log-base" in capsys.readouterr().err
+
+
+def test_got_refuses_the_removed_mean_convention_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("got", "--graph", str(tmp_path / "g.edges"),
+                "--mean-convention", "per-epoch")
+    assert err.value.code == 2
+    assert "--mean-convention" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cls", [("got", GotConfig),
+                                          ("kpath", KpathConfig)])
+def test_options_cover_every_config_field(command, cls):
+    # the command builds its config from the options named after the fields
+    args = build_parser().parse_args([command, "--graph", "g.edges"])
+    assert {f.name for f in fields(cls)} <= set(vars(args))
 
 
 def test_kpath_refuses_the_removed_rho_option(tmp_path, capsys):

@@ -29,8 +29,7 @@ def run_via_epoch_steps(g, cfg):
         phi_sum += state.vdiamonds_at_node
         psi_sum += state.edge_loaded_crossings
         longest = max(longest, *(len(t.path_stack) - 1 for t in state.thieves))
-    denom = epochs if cfg.mean_convention == "per-epoch" else epochs + 1
-    return phi_sum / denom, psi_sum / denom, longest
+    return phi_sum / epochs, psi_sum / epochs, longest
 
 
 def reference_epoch_events(g, cfg):
@@ -103,13 +102,6 @@ class TestTwoNodeHandSimulation:
         assert all(t.carrying for t in state.thieves)
         assert state.thieves[0].position == 1
         assert state.thieves[1].position == 0
-
-    def test_arithmetic_mean_convention(self):
-        g = build_graph([(0, 1)], 2)
-        cfg = GotConfig(vdiamonds_per_node=2, epochs=2, seed=123,
-                        mean_convention="arithmetic")
-        res = run_got(g, cfg)
-        assert np.allclose(res.phi, [5 / 3, 5 / 3])
 
 
 class TestEpochStep:
@@ -490,16 +482,12 @@ class TestConfig:
             GotConfig(epochs=0).resolve(10)
         with pytest.raises(ValueError):
             GotConfig(thieves_per_node=0).resolve(10)
-        with pytest.raises(ValueError):
-            GotConfig(mean_convention="median").resolve(10)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"epochs": 0}, "epochs must be at least 1, got 0"),
         ({"thieves_per_node": 0}, "thieves_per_node must be at least 1, got 0"),
         ({"vdiamonds_per_node": -1},
          "vdiamonds_per_node must be at least 1, got -1"),
-        ({"mean_convention": "median"}, "mean_convention must be one of "
-         "('per-epoch', 'arithmetic'), got 'median'"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ])
     def test_invalid_fields_rejected_when_built(self, kwargs, message):
@@ -512,3 +500,8 @@ class TestConfig:
         # the epoch default is ceil(ln(n)^3) alone; an old caller fails loudly
         with pytest.raises(TypeError, match="log_base"):
             GotConfig(log_base="2")
+
+    def test_mean_convention_is_not_a_field(self):
+        # phi and psi are always divided by the epoch count
+        with pytest.raises(TypeError, match="mean_convention"):
+            GotConfig(mean_convention="per-epoch")

@@ -176,9 +176,8 @@ BAD_CONFIGS = [
     # checks that need no graph, made when the section is built
     ({"n": 50, "got": {"log_base": "3"}},
      r"^unknown config key\(s\): got\.log_base$"),
-    ({"n": 50, "got": {"mean_convention": "median"}},
-     r"^config key got\.mean_convention must be one of "
-     r"\('per-epoch', 'arithmetic'\), got 'median'$"),
+    ({"n": 50, "got": {"mean_convention": "per-epoch"}},
+     r"^unknown config key\(s\): got\.mean_convention$"),
     ({"n": 50, "got": {"thieves_per_node": 0}},
      r"^config key got\.thieves_per_node must be at least 1, got 0$"),
     ({"n": 50, "got": {"vdiamonds_per_node": -2}},
@@ -192,9 +191,8 @@ BAD_CONFIGS = [
      r"^config key sf_triangle_p must be in \[0, 1\], got 1\.5$"),
     ({"n": 60, "sw_k": [4], "sw_shortcut_p": -0.1},
      r"^config key sw_shortcut_p must be in \[0, 1\], got -0\.1$"),
-    ({"n": 50, "got": {"mean_convention": 1}},
-     r"^config key got\.mean_convention must be one of "
-     r"\('per-epoch', 'arithmetic'\), got 1$"),
+    ({"n": 50, "got": {"mean_convention": "arithmetic"}},
+     r"^unknown config key\(s\): got\.mean_convention$"),
     # the total walk count gave way to a whole count per slot
     ({"n": 50, "kpath": {"rho": 20000}},
      r"^unknown config key\(s\): kpath\.rho$"),
@@ -342,6 +340,20 @@ class TestExperimentConfig:
             ExperimentConfig(n=50, sf_m=[2], seeds_per_cell=count)
         assert str(err.value) == (f"config key seeds_per_cell must be at "
                                   f"least 1, got {count}")
+
+    def test_python_config_bounds_the_stock_sums_by_n(self):
+        # no component has more than n nodes, so the largest stock that fits
+        # n nodes fits every cell, and one more is refused before any cell
+        vd = np.iinfo(np.int64).max // (9 * 50)
+        ExperimentConfig(n=50, er_p=[0.2],
+                         got=GotConfig(vdiamonds_per_node=vd, epochs=8))
+        for too_many in (vd + 1, 2**62):
+            with pytest.raises(ValueError) as err:
+                ExperimentConfig(n=50, er_p=[0.2], got=GotConfig(
+                    vdiamonds_per_node=too_many, epochs=8))
+            assert str(err.value) == (
+                f"config key got.vdiamonds_per_node={too_many} is too large: "
+                f"9 stock snapshots of 50 nodes overflow int64")
 
 
 PLOT_DIGESTS = {
