@@ -17,8 +17,8 @@ from .got import (GotConfig, GotResult, TraceRecord, default_epochs,
 from .graph import (Graph, GraphError, build_graph, is_connected,
                     largest_connected_component, parse_edge_list,
                     read_edge_list)
-from .harness import (CellError, ExperimentConfig, ExperimentRecord,
-                      cell_scores, run_cell, run_experiment)
+from .harness import (ExperimentConfig, ExperimentRecord, cell_scores,
+                      run_cell, run_experiment)
 from .kpath import KpathConfig, werw_kpath
 from .rng import derive_seed, make_rng, splitmix64
 from .stats import CorrelationResult, correlate

@@ -31,8 +31,8 @@ from .exact import (betweenness_centrality, closeness_centrality,
                     clustering_coefficient, degree_centrality)
 from .generators import FAMILIES, GeneratorSpec
 from .got import GotConfig, run_got
-from .graph import (format_edge_list, is_number, largest_connected_component,
-                    read_edge_list)
+from .graph import (format_edge_list, is_int, is_number,
+                    largest_connected_component, read_edge_list)
 from .harness import ExperimentConfig, run_experiment
 from .kpath import KpathConfig, werw_kpath
 from .stats import correlate
@@ -75,6 +75,9 @@ def read_scores(path) -> np.ndarray:
             if not is_number(value):  # true, "1.5" or null would convert
                 raise ValueError(f"{path}: scores[{i}] must be a number, "
                                  f"got {json.dumps(value)}")
+            if is_int(value) and abs(value) > sys.float_info.max:
+                raise ValueError(f"{path}: scores[{i}] is too large for a "
+                                 f"float")
         return np.asarray(scores, dtype=np.float64)
     lines = (line.strip() for line in text.splitlines())
     return np.asarray([float(line) for line in lines

@@ -156,7 +156,7 @@ def gen_holme_kim(n: int, m: int, p: float, seed: int) -> Graph:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"triangle probability must be in [0, 1], got {p}")
-    # the growth loop's sets and lists are gone before build_graph sorts
+    # the growth loop's lists are gone before build_graph sorts
     return build_graph(_holme_kim_edges(n, m, p, seed), n)
 
 
@@ -164,13 +164,9 @@ def _holme_kim_edges(n: int, m: int, p: float, seed: int) -> np.ndarray:
     """The (m', 2) int64 edges ``(new, t)`` of ``gen_holme_kim``, in id order."""
     draws = _Draws(seed)
     random, below = draws.random, draws.below
-    present: set[int] = set()  # t * n + new for each edge, every t below new
     adj: list[list[int]] = [[] for _ in range(n)]
     # new, t for each edge (t, new) in id order; drives the PA draws
     endpoints: list[int] = []
-
-    def adjacent(a: int, b: int) -> bool:
-        return (a * n + b if a < b else b * n + a) in present
 
     def pa_target(new: int) -> int:
         if endpoints:
@@ -179,9 +175,9 @@ def _holme_kim_edges(n: int, m: int, p: float, seed: int) -> np.ndarray:
             # to a uniform eligible draw
             for _ in range(1000):
                 t = endpoints[below(len(endpoints))]
-                if t != new and t * n + new not in present:
+                if t != new and t not in adj[new]:  # at most m entries
                     return t
-        pool = [t for t in range(new) if t * n + new not in present]
+        pool = [t for t in range(new) if t not in adj[new]]
         return pool[below(len(pool))]
 
     def triad_target(new: int, prev: int) -> int | None:
@@ -189,7 +185,7 @@ def _holme_kim_edges(n: int, m: int, p: float, seed: int) -> np.ndarray:
         # eligible entries but without building it: new is the row's last
         # entry, and r steps over the positions of new's other neighbours
         row = adj[prev]
-        skip = sorted(row.index(w) for w in adj[new] if adjacent(prev, w))
+        skip = sorted(row.index(w) for w in adj[new] if w in row)
         if len(row) - 1 == len(skip):
             return None
         r = below(len(row) - 1 - len(skip))
@@ -200,7 +196,6 @@ def _holme_kim_edges(n: int, m: int, p: float, seed: int) -> np.ndarray:
         return row[r]
 
     def connect(new: int, t: int) -> None:
-        present.add(t * n + new)
         adj[new].append(t)
         adj[t].append(new)
         endpoints.append(new)

@@ -72,6 +72,10 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# the largest n whose largest slot key in _csr, n * n - 1, fits in int64
+_MAX_NODES = 3_037_000_499
+
+
 def build_graph(edges, n: int) -> Graph:
     """Build an immutable simple graph from an edge list.
 
@@ -81,12 +85,15 @@ def build_graph(edges, n: int) -> Graph:
         n: node count.
 
     Raises:
-        GraphError: on a self-loop, an out-of-range id, or a duplicate edge
-            (an unordered pair given twice, seen in the rows of the one
-            slot sort), naming the first offending edge in input order.
+        GraphError: on a node count outside 0.._MAX_NODES, a self-loop, an
+            out-of-range id, or a duplicate edge (an unordered pair given
+            twice, seen in the rows of the one slot sort), naming the first
+            offending edge in input order.
     """
     if n < 0:
         raise GraphError(f"node count must be non-negative, got {n}")
+    if n > _MAX_NODES:
+        raise GraphError(f"node count must be at most {_MAX_NODES}, got {n}")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:

@@ -8,9 +8,13 @@ node and edge scores) and kpath (the k-path edge estimate), each as
 ``run_cell``'s hook times each call; a replay that needs only some stages
 returns None for the others. The stage functions are this module's globals,
 looked up at each call, because the benchmark (``perfbench/run.py``) wraps
-them by name. ``run_cell`` then correlates the simulation node score with
-each exact measure by all three coefficients (12 records) and its edge score
-with the k-path estimate (3 records), timed as stage corr: 15 per cell.
+them by name; so is ``run_cell``, which ``run_experiment`` calls once per
+cell with the cell key as its first four positional arguments. ``run_cell``
+then correlates the simulation node score with each exact measure by all
+three coefficients (12 records) and its edge score with the k-path estimate
+(3 records), timed as stage corr: 15 per cell. It returns them with the
+cell's entry, the cell key with ``stage_wall_ms``; if a stage raises, it
+returns no records and the cell key with ``error``, and the run continues.
 
 Reproducibility: the cell seed never feeds an algorithm directly. Only
 ``cell_scores`` derives sub-seeds from it, ``derive_seed(cell_seed, tag)``
@@ -18,10 +22,9 @@ for the tags "gen" (its generator call), "got" and "kpath", so the stages
 have independent streams and a cell's arguments replay its outputs.
 
 Reports: a CSV with one row per record (fixed, versioned schema), a JSON
-document carrying the same records plus one entry per cell (its key with
-its stage timings, or its error if it failed), and one plot-data CSV per
-coefficient laid out for value-vs-parameter curves (one series per measure
-pair). A failed cell has no records, and the run continues.
+document carrying the same records plus ``run_cell``'s entry for each cell,
+one plot-data CSV per coefficient laid out for value-vs-parameter curves
+(one series per measure pair), and a CSV of the failed cells' entries.
 """
 from __future__ import annotations
 
@@ -56,10 +59,6 @@ COEFFICIENTS = ("pearson", "spearman", "kendall")
 # the default of each family's auxiliary probability, by config key
 _AUX_DEFAULTS = {row.aux_key: row.aux_default for row in FAMILIES.values()
                  if row.aux_key}
-
-
-class CellError(RuntimeError):
-    """A cell failed; the message carries the cell context."""
 
 
 @dataclass(frozen=True)
@@ -243,12 +242,15 @@ def run_cell(family: str, n: int, param: float, seed: int,
              aux_prob: float | None = None,
              all_pairs: bool = False) -> tuple[list[ExperimentRecord], dict]:
     """Run one experiment cell; returns its 15 records (more with all_pairs)
-    and the wall time of each stage in ms. The arguments before
-    ``all_pairs`` are ``cell_scores``'s, which it runs with a timing hook.
+    and its entry: the cell key with ``stage_wall_ms``, the wall time of
+    each stage in ms. The arguments before ``all_pairs`` are
+    ``cell_scores``'s, which it runs with a timing hook.
 
-    Raises CellError (with full cell context) on any stage failure, corr
-    included; a failed cell produces no partial records.
+    A stage that raises, corr included, fails the cell: it returns no
+    records, and its entry holds the cell key with ``error``, the exception
+    text led by the cell key.
     """
+    entry = dict(zip(CELL_KEY, (family, n, param, seed)))
     stage_ms: dict[str, float] = {}
     cell_t0 = time.perf_counter()
 
@@ -266,8 +268,10 @@ def run_cell(family: str, n: int, param: float, seed: int,
         results = timed("corr", lambda: [correlate(scores[a], scores[b])
                                          for _, a, b in pairs])
     except Exception as exc:
-        raise CellError(f"family={family} n={n} param={param} seed={seed}: "
-                        f"{exc}") from exc
+        entry["error"] = (f"family={family} n={n} param={param} seed={seed}: "
+                          f"{exc}")
+        return [], entry
+    entry["stage_wall_ms"] = stage_ms
     # every record of the cell reports the same whole-cell wall time
     total_ms = (time.perf_counter() - cell_t0) * 1000.0
     return [ExperimentRecord(family=family, n=n, param=param, seed=seed,
@@ -275,18 +279,7 @@ def run_cell(family: str, n: int, param: float, seed: int,
                              coefficient=coeff, value=value, wall_ms=total_ms)
             for (pair_name, _, _), res in zip(pairs, results)
             for coeff, value in zip(COEFFICIENTS,
-                                    (res.r, res.rho, res.tau))], stage_ms
-
-
-def _run_cell_task(args) -> tuple[list[ExperimentRecord], dict]:
-    """One cell's records and its entry: the cell key with its stage
-    timings, or with its error (and no records) if it failed."""
-    entry = dict(zip(CELL_KEY, args[:4]))
-    try:
-        records, entry["stage_wall_ms"] = run_cell(*args)
-    except CellError as exc:
-        records, entry["error"] = [], str(exc)
-    return records, entry
+                                    (res.r, res.rho, res.tau))], entry
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir,
@@ -310,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        done = list((pool.map if pool else map)(_run_cell_task, tasks))
+        done = list((pool.map if pool else map)(run_cell, *zip(*tasks)))
     records = [rec for cell_records, _ in done for rec in cell_records]
     entries = [entry for _, entry in done]
     errors = [entry for entry in entries if "error" in entry]
@@ -339,7 +332,7 @@ def write_csv_report(records: list[ExperimentRecord], path) -> None:
 
 
 def write_json_report(cfg: ExperimentConfig, records, cells, path) -> None:
-    """The config, the records and one entry per cell (see _run_cell_task)."""
+    """The config, the records and one entry per cell (see run_cell)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
                    "records": [asdict(r) for r in records], "cells": cells},

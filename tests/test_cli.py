@@ -271,6 +271,9 @@ class TestErrors:
          "node 3 is unreachable from node 0"),
         ("0 1\n", ("--measure", "dc", "--n", "1"),
          "edge (0, 1) outside node range 0..0"),
+        # the inferred n, whose slot keys would overflow int64
+        (f"0 1\n1 {10**30}\n", ("--measure", "dc"),
+         f"node count must be at most 3037000499, got {10**30 + 1}"),
     ])
     def test_graph_and_value_errors(self, tmp_path, capsys, text, argv, message):
         path = tmp_path / "g.edges"
@@ -306,6 +309,15 @@ class TestErrors:
         assert run_cli("correlate", str(bad), str(good)) == 2
         assert capsys.readouterr().err == \
             f"centbench: error: {bad}: scores[1] must be a number, got {entry}\n"
+
+    def test_json_score_past_the_float_range(self, tmp_path, capsys):
+        bad = tmp_path / "big.json"
+        bad.write_text(f'{{"scores": [1, {10**400}, 3]}}')
+        good = tmp_path / "good.txt"
+        good.write_text("1\n2\n3\n")
+        assert run_cli("correlate", str(bad), str(good)) == 2
+        assert capsys.readouterr().err == \
+            f"centbench: error: {bad}: scores[1] is too large for a float\n"
 
     def test_config_without_node_count(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

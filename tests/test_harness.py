@@ -7,10 +7,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from centbench import (CellError, ExperimentConfig, GeneratorSpec, GotConfig,
+from centbench import (ExperimentConfig, GeneratorSpec, GotConfig,
                        KpathConfig, cell_scores, harness, run_cell,
                        run_experiment)
-from centbench.harness import COEFFICIENTS, CSV_COLUMNS, SCHEMA_VERSION
+from centbench.harness import (CELL_KEY, COEFFICIENTS, CSV_COLUMNS,
+                               SCHEMA_VERSION)
 from centbench.rng import derive_seed
 
 
@@ -39,9 +40,12 @@ def recorded_cell(cell_seed):
 
 class TestRunCell:
     def test_sf_cell_produces_15_full_records(self):
-        records, stage_ms = run_cell("SF", 200, 5, seed=1, got_cfg=FAST_GOT,
-                                     kpath_cfg=FAST_KPATH)
+        records, entry = run_cell("SF", 200, 5, seed=1, got_cfg=FAST_GOT,
+                                  kpath_cfg=FAST_KPATH)
         assert len(records) == 15
+        assert entry == {"family": "SF", "n": 200, "param": 5, "seed": 1,
+                         "stage_wall_ms": entry["stage_wall_ms"]}
+        stage_ms = entry["stage_wall_ms"]
         assert list(stage_ms) == STAGES
         assert all(ms >= 0.0 for ms in stage_ms.values())
         pairs = {r.pair for r in records}
@@ -54,15 +58,20 @@ class TestRunCell:
         assert all(r.lcc_n == 200 for r in records)
 
     def test_degenerate_cell_fails_without_partial_records(self):
-        with pytest.raises(CellError, match="family=ER.*degenerate"):
-            run_cell("ER", 200, 0.0, seed=1)
+        records, entry = run_cell("ER", 200, 0.0, seed=1)
+        assert records == []
+        assert list(entry) == [*CELL_KEY, "error"]
+        assert re.search("family=ER.*degenerate", entry["error"])
 
     def test_a_failing_corr_stage_is_a_cell_error(self):
         # one edge passes the LCC check, but one edge score is too short
         # to correlate
-        with pytest.raises(CellError, match=r"^family=ER n=2 param=1\.0 "
-                           r"seed=1: need at least 2 samples, got 1$"):
-            run_cell("ER", 2, 1.0, 1)
+        records, entry = run_cell("ER", 2, 1.0, 1)
+        assert records == []
+        assert entry == {"family": "ER", "n": 2, "param": 1.0, "seed": 1,
+                         "error": entry["error"]}
+        assert re.search(r"^family=ER n=2 param=1\.0 seed=1: need at least 2 "
+                         r"samples, got 1$", entry["error"])
 
     def test_deterministic_modulo_wall_time(self):
         a, _ = run_cell("ER", 120, 0.05, seed=9, got_cfg=FAST_GOT,
@@ -163,8 +172,7 @@ BAD_CONFIGS = [
      r"^config key kpath\.k must be an integer, got '3'$"),
     ({"n": 50, "kpath": {"walks_per_slot": 2.0}},
      r"^config key kpath\.walks_per_slot must be an integer, got 2\.0$"),
-    # run_cell derives the got and kpath seeds per cell (got.seed is the
-    # last case, so the ids of the cases after this one stay)
+    # cell_scores derives the got and kpath seeds per cell
     ({"n": 50, "kpath": {"seed": None}},
      r"^unknown config key\(s\): kpath\.seed$"),
     ({"n": 50, "sf_m": [2], "seeds_per_cell": 0},
@@ -217,6 +225,14 @@ BAD_CONFIGS = [
     ({"n": 60, "sw_k": [4, float("-inf")]},
      r"^config key sw_k must be a list of finite numbers, got \[4, -inf\]$"),
 ]
+BAD_VALUES = [case for case in BAD_CONFIGS
+              if case[1].startswith("^config key ")]
+
+
+def case_ids(cases):
+    """Each case's config as JSON: an edit to one case leaves the ids of
+    the others as they are."""
+    return [json.dumps(d, separators=(",", ":")) for d, _ in cases]
 
 
 class TestExperimentConfig:
@@ -240,13 +256,14 @@ class TestExperimentConfig:
         assert len(set(seeds)) == len(seeds)
         assert cfg.cells() == cells
 
-    @pytest.mark.parametrize("d, message", BAD_CONFIGS)
+    @pytest.mark.parametrize("d, message", BAD_CONFIGS,
+                             ids=case_ids(BAD_CONFIGS))
     def test_from_dict_names_bad_keys(self, d, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(d)
 
-    @pytest.mark.parametrize("d, message", [
-        case for case in BAD_CONFIGS if case[1].startswith("^config key ")])
+    @pytest.mark.parametrize("d, message", BAD_VALUES,
+                             ids=case_ids(BAD_VALUES))
     def test_python_constructors_raise_the_same_text(self, d, message):
         # a section's own message has no "config key <section>." prefix
         message = re.sub(r"^\^config key (got|kpath)\\\.", "^", message)
