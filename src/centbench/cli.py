@@ -239,8 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # GraphError is a ValueError; OSError covers a missing or unreadable file
-    except (OSError, ValueError) as exc:
+    # GraphError is a ValueError; OSError covers a missing or unreadable
+    # file, MemoryError an array too big to allocate
+    except (OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"centbench: error: {exc}\n")
         return 2
 

@@ -166,15 +166,15 @@ def is_connected(g: Graph) -> bool:
     return not component_labels(g).any()
 
 
-def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
+def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on the largest component, densely relabeled.
 
     Ties between equal-sized components go to the one containing the
-    smallest node id. Returns the subgraph and the injective old-id to
-    new-id mapping. Edge ids keep their relative order from the parent
-    graph, so subgraph construction is deterministic. A connected graph is
-    its own largest component: it comes back as is, with the identity
-    mapping.
+    smallest node id. Returns the subgraph and ``kept``, the int64 original
+    ids of the kept nodes in new-id order: new id ``i`` is old id
+    ``kept[i]``. Edge ids keep their relative order from the parent graph,
+    so subgraph construction is deterministic. A connected graph is its own
+    largest component: it comes back as is, with ``kept = arange(n)``.
 
     Raises:
         GraphError: if the graph has no nodes.
@@ -183,16 +183,15 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
         raise GraphError("empty graph has no components")
     labels = component_labels(g)
     if not labels.any():
-        return g, dict(zip(range(g.n), range(g.n)))
+        return g, np.arange(g.n, dtype=np.int64)
     # argmax takes the first of equal sizes, the smallest label
-    best = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    kept = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
     relabel = np.full(g.n, -1, dtype=np.int64)
-    relabel[best] = np.arange(best.size, dtype=np.int64)
+    relabel[kept] = np.arange(kept.size, dtype=np.int64)
     keep = relabel[g.edge_u] >= 0
     # relabelling keeps id order, so the kept edges stay valid and ordered
-    sub = _csr(relabel[g.edge_u[keep]], relabel[g.edge_v[keep]], int(best.size))
-    mapping = dict(zip(best.tolist(), range(best.size)))
-    return sub, mapping
+    sub = _csr(relabel[g.edge_u[keep]], relabel[g.edge_v[keep]], int(kept.size))
+    return sub, kept
 
 
 def parse_edge_list(text: str, n: int | None = None) -> Graph:

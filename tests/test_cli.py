@@ -282,6 +282,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"centbench: error: {message}\n"
 
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # numpy's text for the edge list 0 1 / 1 3000000000
+        text = ("Unable to allocate 22.4 GiB for an array with shape "
+                "(3000000001,) and data type int64")
+
+        def fail(path, n=None):
+            raise MemoryError(text)
+        monkeypatch.setattr("centbench.cli.read_edge_list", fail)
+        assert run_cli("centrality", "--graph", str(tmp_path / "g.edges"),
+                       "--measure", "dc") == 2
+        assert capsys.readouterr().err == f"centbench: error: {text}\n"
+
     def test_missing_graph_file(self, tmp_path, capsys):
         path = tmp_path / "absent.edges"
         assert run_cli("centrality", "--graph", str(path),

@@ -22,6 +22,14 @@ def two_holme_kim_copies():
     return build_graph(np.concatenate([edges, edges + 300]), 600)
 
 
+def holme_kim_on_sparse_ids():
+    """300 connected nodes on ascending ids drawn from 0..32807, the rest
+    isolated: n > 32,767 takes Brandes' int32 distances."""
+    g = gen_holme_kim(300, 3, 0.3, seed=5)
+    ids = np.sort(np.random.default_rng(1).choice(32808, 300, replace=False))
+    return build_graph(ids[np.stack([g.edge_u, g.edge_v], axis=1)], 32808)
+
+
 class TestDegree:
     def test_path(self):
         assert degree_centrality(path_graph(3)).tolist() == [0.5, 1.0, 0.5]
@@ -71,8 +79,9 @@ class TestBetweenness:
         two_holme_kim_copies(),
         # many equal-length paths, and edges inside a level
         layered_graph()[0],
+        holme_kim_on_sparse_ids(),
     ], ids=["path", "star", "complete", "isolated_nodes", "long_path",
-            "two_components", "layered"])
+            "two_components", "layered", "int32_distances"])
     def test_bit_identical_to_level_mask_on_shapes(self, g):
         assert np.array_equal(betweenness_centrality(g), level_mask_brandes(g))
 

@@ -87,9 +87,9 @@ def test_empty_graph():
 class TestLargestConnectedComponent:
     def test_connected_graph_is_identity(self):
         g = path_graph(3)
-        sub, mapping = largest_connected_component(g)
-        assert sub.edge_list() == g.edge_list()
-        assert mapping == {0: 0, 1: 1, 2: 2}
+        sub, kept = largest_connected_component(g)
+        assert sub is g
+        assert kept.dtype == np.int64 and kept.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("make", [
         lambda: path_graph(1), lambda: cycle_graph(7),
@@ -98,11 +98,12 @@ class TestLargestConnectedComponent:
     def test_connected_graph_comes_back_whole(self, make):
         g = make()
         assert is_connected(g)
-        sub, mapping = largest_connected_component(g)
+        sub, kept = largest_connected_component(g)
         for f in ("indptr", "adj", "adj_eids", "edge_u", "edge_v", "degrees"):
             assert np.array_equal(getattr(sub, f), getattr(g, f))
         assert (sub.n, sub.m) == (g.n, g.m)
-        assert list(mapping.items()) == [(i, i) for i in range(g.n)]
+        assert kept.dtype == np.int64
+        assert np.array_equal(kept, np.arange(g.n))
 
     @pytest.mark.parametrize("make", [
         lambda: gen_erdos_renyi(2000, 8e-4, seed=3),
@@ -111,9 +112,10 @@ class TestLargestConnectedComponent:
     def test_disconnected_graph_matches_rebuilt_subgraph(self, make):
         g = make()
         assert not is_connected(g)
-        sub, mapping = largest_connected_component(g)
-        kept = [(mapping[u], mapping[v]) for u, v in g.edge_list() if u in mapping]
-        want = build_graph(kept, len(mapping))
+        sub, kept = largest_connected_component(g)
+        new = {int(old): i for i, old in enumerate(kept)}
+        edges = [(new[u], new[v]) for u, v in g.edge_list() if u in new]
+        want = build_graph(edges, kept.size)
         for f in ("indptr", "adj", "adj_eids", "edge_u", "edge_v", "degrees"):
             assert np.array_equal(getattr(sub, f), getattr(want, f))
             assert getattr(sub, f).dtype == np.int64
@@ -121,15 +123,15 @@ class TestLargestConnectedComponent:
 
     def test_picks_larger_component(self):
         g = build_graph([(0, 1), (1, 2), (3, 4)], 5)
-        sub, mapping = largest_connected_component(g)
+        sub, kept = largest_connected_component(g)
         assert sub.n == 3 and sub.m == 2
-        assert mapping == {0: 0, 1: 1, 2: 2}
+        assert kept.tolist() == [0, 1, 2]
 
     def test_tie_goes_to_smallest_node_id(self):
         g = build_graph([(2, 3), (0, 1)], 4)
-        sub, mapping = largest_connected_component(g)
+        sub, kept = largest_connected_component(g)
         assert sub.n == 2
-        assert mapping == {0: 0, 1: 1}
+        assert kept.tolist() == [0, 1]
 
     def test_empty_graph_errors(self):
         with pytest.raises(GraphError):
@@ -137,10 +139,9 @@ class TestLargestConnectedComponent:
 
     def test_relabeling_is_dense_and_injective(self):
         g = build_graph([(5, 7), (7, 9), (0, 1)], 10)
-        sub, mapping = largest_connected_component(g)
-        assert sorted(mapping.keys()) == [5, 7, 9]
-        assert sorted(mapping.values()) == [0, 1, 2]
-        assert sub.m == 2
+        sub, kept = largest_connected_component(g)
+        assert kept.dtype == np.int64 and kept.tolist() == [5, 7, 9]
+        assert sub.edge_list() == [(0, 1), (1, 2)]
 
 
 def test_is_connected():
@@ -255,10 +256,11 @@ def check_components(g):
     assert labels.tolist() == [smallest[v] for v in range(g.n)]
     assert is_connected(g) == (len(expected) <= 1)
     best = max(expected, key=len)  # the first of equal sizes
-    sub, mapping = largest_connected_component(g)
-    assert list(mapping) == best and list(mapping.values()) == list(range(len(best)))
-    assert sub.edge_list() == [(mapping[u], mapping[v]) for u, v in g.edge_list()
-                               if u in mapping]
+    sub, kept = largest_connected_component(g)
+    assert kept.dtype == np.int64 and kept.tolist() == best
+    new = {old: i for i, old in enumerate(best)}
+    assert sub.edge_list() == [(new[u], new[v]) for u, v in g.edge_list()
+                               if u in new]
     if g.n >= 2 and len(expected) > 1:
         with pytest.raises(DisconnectedGraphError,
                            match=rf"^node {expected[1][0]} is unreachable from node 0$"):
