@@ -6,8 +6,8 @@ Conventions:
 * Betweenness sums, over unordered node pairs ``{h, k}`` with ``i`` not an
   endpoint, the fraction of shortest h-k paths that pass through ``i``.
   Unreachable pairs contribute 0 and no normalization is applied. Computed
-  with Brandes' single-source accumulation, O(nm) on unweighted graphs, in
-  blocks of up to 256 sources that have an edge.
+  with Brandes' single-source accumulation, O(nm) on unweighted graphs,
+  over the sources that have an edge, in groups of 16 or 8.
 * Closeness is ``n / sum_j d_ij`` with the network size in the numerator.
   The constant factor relative to the common ``(n-1)`` variant is irrelevant
   to any correlation analysis, which is this library's use case. Computed
@@ -21,12 +21,25 @@ Conventions:
   most ``max(_WEDGES, max_i d+_i)`` wedges.
 
 One bit-parallel level step (``_bit_levels``) runs the BFS of a whole
-block of sources at once and serves both distance measures. Closeness sums
-the nodes each level reaches. Betweenness writes the levels into a
-distance row per source, masks that source's shortest-path DAG out of the
-adjacency slots in one step, and walks the DAG level by level: the forward
-pass counts paths along each level's arcs, and the backward pass walks the
-same arcs in reverse.
+block of sources at once and serves both distance measures: it yields each
+level's packed words, one bit per source and node. Closeness sums the
+nodes each level reaches. Betweenness keeps a block's words and reads the
+shortest-path DAG of every source off them: adjacency slot ``u -> v`` is a
+level-``L`` arc of source ``j`` exactly when bit ``j`` of
+``words[L - 1][u] & words[L][v]`` is set. It takes the sources in groups,
+one lane per source, with node-major ``sigma`` and ``delta`` indexed by
+``node * lanes + lane``. The forward pass counts paths along each level's
+arcs with one ``bincount`` for the whole group, and the backward pass walks
+the same arcs in reverse.
+
+The grouping leaves every bit of the result as one source at a time would
+give it, even where path counts pass 2**53 and the float sums round. The
+arcs come out slot-major and lane-minor, so each (node, lane) bin of a
+``bincount`` takes its terms in ascending slot order, the order of a
+per-source pass over the sorted adjacency; a node's bin at its own level
+starts from 0 in both passes; every term is the same expression,
+``sigma[t] / sigma[h] * (1.0 + delta[h])`` backward; and each lane's
+``delta`` is added to the result in ascending source order.
 
 Distances are unweighted hop counts. The tests check Brandes against
 ``oracle_betweenness`` in ``tests/reference.py``, which recomputes
@@ -42,7 +55,7 @@ import numpy as np
 from .graph import Graph, component_labels
 
 
-# sources per bit-parallel BFS, a multiple of 64; the bitsets are
+# sources per closeness BFS, a multiple of 64; the bitsets are
 # little-endian words so that their bytes unpack in source order
 _BLOCK = 256
 _WORD = np.dtype("<u8")
@@ -67,10 +80,12 @@ def _bit_levels(g: Graph, sources: np.ndarray):
     VLDB 2014). Every node holds one bit per source of the block, for the
     frontier and for the visited set; a level step ORs each node's
     neighbour rows, and the bits not yet visited are the ones that level
-    sets. Yields ``(lev, bits)`` for ``lev = 1, 2, ...``: ``bits`` is an
-    ``(n, _BLOCK)`` uint8 array, 1 where source ``sources[j]`` first
-    reaches node ``v`` at distance ``lev``. Stops after the last level that
-    reaches a node.
+    sets. Yields the packed words of each level, ``lev = 0, 1, ...``: an
+    ``(n, words)`` array of little-endian uint64, ``words`` the number of
+    64-source words the block needs, whose bit ``j`` is set where source
+    ``sources[j]`` first reaches node ``v`` at distance ``lev``. Level 0
+    holds the sources' own bits. Stops after the last level that reaches a
+    node. No yielded array is written to afterwards.
 
     The step reduces over the rows of nodes with a neighbour only:
     ``reduceat`` gives an empty segment its start element, not 0, so an
@@ -79,63 +94,76 @@ def _bit_levels(g: Graph, sources: np.ndarray):
     live = np.flatnonzero(g.degrees)
     starts = g.indptr[live]
     cols = np.arange(sources.size, dtype=np.uint64)
-    visited = np.zeros((g.n, _BLOCK // 64), dtype=_WORD)
-    visited[sources, cols // 64] = np.uint64(1) << cols % 64
-    front = visited.copy()
-    lev = 1
-    while True:
+    front = np.zeros((g.n, -(-sources.size // 64)), dtype=_WORD)
+    front[sources, cols // 64] = np.uint64(1) << cols % 64
+    visited = front.copy()
+    while front.any():
+        yield front
         new = np.zeros_like(visited)
         new[live] = np.bitwise_or.reduceat(front[g.adj], starts, axis=0)
         new &= ~visited
-        if not new.any():
-            return
         visited |= new
-        yield lev, np.unpackbits(new.view(np.uint8), axis=1, bitorder="little")
         front = new
-        lev += 1
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
-    """Unnormalized betweenness over unordered pairs, endpoints excluded."""
+    """Unnormalized betweenness over unordered pairs, endpoints excluded.
+
+    The sources that have an edge run in ascending id order, 64 at a time
+    through ``_bit_levels``, whose level words are kept (n * 8 bytes per
+    level), and then in groups of ``lanes`` through Brandes' two passes,
+    one lane per source. A group holds ``sigma`` and ``delta``, node-major
+    arrays of ``n * lanes`` doubles, and its DAG arcs, 16 bytes each, so
+    the group narrows as n grows: 16 lanes while n <= 1024, whose arrays
+    stay well inside a core's 2 MiB L2 cache, and 8 beyond. Each
+    level's arcs are read from the words (see the module docstring),
+    slot-major and lane-minor, as flat ``node * lanes + lane`` indices.
+    They stay int64, since numpy copies narrower indices to int64 at every
+    gather and ``bincount``.
+    """
     n = g.n
     bc = np.zeros(n, dtype=np.float64)
-    rows = np.repeat(np.arange(n), g.degrees)  # the tail of each adjacency slot
-    # the narrowest type that holds every distance: the stable sort of
-    # int16 level keys is a radix sort
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    lanes = 16 if n <= 1024 else 8
+    shift = lanes.bit_length() - 1
+    lane_word = np.dtype(f"<u{lanes // 8}")
+    size = n * lanes
+    # the flat index of lane 0 at the tail and at the head of each slot
+    tails = np.repeat(np.arange(n) << shift, g.degrees)
+    heads = g.adj << shift
     # an isolated source adds nothing, and the rest keep ascending order
     live = np.flatnonzero(g.degrees)
-    for b0 in range(0, live.size, _BLOCK):
-        sources = live[b0:b0 + _BLOCK]
-        dist = np.full((_BLOCK, n), -1, dtype=dtype)
-        dist[np.arange(sources.size), sources] = 0
-        for lev, bits in _bit_levels(g, sources):
-            np.putmask(dist, bits.T, lev)
-        for s, d in zip(sources.tolist(), dist):
-            # the DAG arcs, one level above their tail; an unreachable tail
-            # has only unreachable heads, at -1, so it yields no arc. The
-            # stable sort by level keeps each level's arcs in ascending
-            # (tail, head) slot order.
-            dt = d[rows]
-            arc = np.flatnonzero(d[g.adj] == dt + 1)
-            lv = dt[arc]
-            order = np.argsort(lv, kind="stable")
-            tails, heads = rows[arc[order]], g.adj[arc[order]]
-            sigma = np.zeros(n, dtype=np.float64)
-            sigma[s] = 1.0
+    for b0 in range(0, live.size, 64):  # one word of sources per BFS
+        sources = live[b0:b0 + 64]
+        words = [w.view(lane_word) for w in _bit_levels(g, sources)]
+        for k in range(0, sources.size, lanes):
+            group = sources[k:k + lanes]
+            sigma = np.zeros(size, dtype=np.float64)
+            sigma[(group << shift) + np.arange(group.size)] = 1.0
             dag = []  # (tails, heads) of each level, walked back in reverse
-            lo = 0
-            for hi in np.cumsum(np.bincount(lv)).tolist():
-                t, h = tails[lo:hi], heads[lo:hi]
-                sigma += np.bincount(h, weights=sigma[t], minlength=n)
+            for front, new in zip(words, words[1:]):
+                # one lane bit per source of the group for each slot u -> v
+                w = (np.repeat(front[:, k >> shift], g.degrees)
+                     & new[:, k >> shift][g.adj])
+                nz = np.flatnonzero(w != 0)  # faster than on the uint words
+                if nz.size == 0:  # the group's BFS ended before the block's
+                    break
+                # bit f of the unpacked words is lane f % lanes of slot
+                # nz[f // lanes], whose flat indices are f plus an offset
+                f = np.flatnonzero(np.unpackbits(
+                    w[nz].view(np.uint8), bitorder="little").view(bool))
+                q = f >> shift
+                first = np.arange(0, nz.size << shift, lanes)
+                t = f + (tails[nz] - first)[q]
+                h = f + (heads[nz] - first)[q]
+                sigma += np.bincount(h, weights=sigma[t], minlength=size)
                 dag.append((t, h))
-                lo = hi
-            delta = np.zeros(n, dtype=np.float64)
-            # the source's own dependency is never used, so skip its level
+            delta = np.zeros(size, dtype=np.float64)
+            # a source's own dependency is never used, so skip level 1
             for t, h in reversed(dag[1:]):
                 contrib = sigma[t] / sigma[h] * (1.0 + delta[h])
-                delta += np.bincount(t, weights=contrib, minlength=n)
-            bc += delta
+                delta += np.bincount(t, weights=contrib, minlength=size)
+            for column in delta.reshape(n, lanes).T[:group.size]:
+                bc += column
     # each unordered pair was accumulated from both endpoints
     return bc / 2.0
 
@@ -166,8 +194,10 @@ def closeness_centrality(g: Graph) -> np.ndarray:
     for b0 in range(0, n, _BLOCK):
         sources = np.arange(b0, min(b0 + _BLOCK, n))
         total = np.zeros(_BLOCK, dtype=np.int64)
-        for lev, bits in _bit_levels(g, sources):
-            total += lev * bits.sum(axis=0, dtype=np.int64)
+        for lev, words in enumerate(_bit_levels(g, sources)):
+            bits = np.unpackbits(words.view(np.uint8), axis=1,
+                                 bitorder="little")
+            total[:bits.shape[1]] += lev * bits.sum(axis=0, dtype=np.int64)
         out[b0:b0 + sources.size] = n / total[:sources.size]
     return out
 

@@ -29,8 +29,9 @@ def random_graph(n, p, rng):
     return build_graph(edges, n)
 
 
-def layered_graph():
-    """The source, then 6 layers of 15 under shuffled ids, and its layers.
+def layered_graph(width=15, depth=6):
+    """The source, then ``depth`` layers of ``width`` under shuffled ids,
+    and its layers.
 
     Random edges between adjacent layers give many equal-length paths,
     edges inside a layer lie on no shortest path from the source, and every
@@ -38,7 +39,6 @@ def layered_graph():
     distance i from the source.
     """
     rng = np.random.default_rng(11)
-    width, depth = 15, 6
     ids = rng.permutation(1 + width * depth).tolist()
     layers = [ids[:1]] + [ids[1 + i * width:1 + (i + 1) * width]
                           for i in range(depth)]

@@ -24,7 +24,8 @@ def two_holme_kim_copies():
 
 def holme_kim_on_sparse_ids():
     """300 connected nodes on ascending ids drawn from 0..32807, the rest
-    isolated: n > 32,767 takes Brandes' int32 distances."""
+    isolated: n = 32,808 takes Brandes' 8-lane groups, and the isolated
+    ids run no source."""
     g = gen_holme_kim(300, 3, 0.3, seed=5)
     ids = np.sort(np.random.default_rng(1).choice(32808, 300, replace=False))
     return build_graph(ids[np.stack([g.edge_u, g.edge_v], axis=1)], 32808)
@@ -79,11 +80,23 @@ class TestBetweenness:
         two_holme_kim_copies(),
         # many equal-length paths, and edges inside a level
         layered_graph()[0],
+        # path counts from the source above 2**80, so float sums round
+        layered_graph(depth=30)[0],
         holme_kim_on_sparse_ids(),
     ], ids=["path", "star", "complete", "isolated_nodes", "long_path",
-            "two_components", "layered", "int32_distances"])
+            "two_components", "layered", "deep_layered", "sparse_ids"])
     def test_bit_identical_to_level_mask_on_shapes(self, g):
         assert np.array_equal(betweenness_centrality(g), level_mask_brandes(g))
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_paths_on_both_sides_of_the_lane_switch(self, n):
+        # 16 lanes up to n = 1024 and 8 beyond, and 1025 sources leave a
+        # last block of one. Every path count is 1, so every term is an
+        # integer and every summation order gives i * (n - 1 - i), as
+        # level_mask_brandes does, far more slowly at this diameter
+        i = np.arange(n)
+        assert np.array_equal(betweenness_centrality(path_graph(n)),
+                              (i * (n - 1 - i)).astype(np.float64))
 
     def test_bit_identical_to_level_mask_on_random_graphs(self, np_rng):
         # p log-uniform on [0.02, 0.5], so that sparse, disconnected graphs
@@ -103,9 +116,10 @@ class TestBetweenness:
         assert np.array_equal(betweenness_centrality(g), level_mask_brandes(g))
 
     def test_memory_bounded_by_one_source_block(self):
-        # one 256-source block of distances and bitsets: the peak measured
-        # 5.9 MB, while the int16 distances of all 3000 sources at once
-        # would take 18 MB and a 1024-source block exceeds the bound
+        # one 64-source block of level words and one 8-lane group's DAG
+        # arcs: the peak measured 3.9 MB, against 5.9 MB for the 256-source
+        # distance block they replaced, while the int16 distances of all
+        # 3000 sources at once would take 18 MB
         g = gen_holme_kim(3000, 5, 0.3, seed=606)
         _, peak = traced_peak(betweenness_centrality, g)
         assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
